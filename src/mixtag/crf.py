@@ -1,19 +1,22 @@
 """Linear-chain CRF machinery.
 
-Feature indexing, log-space lattices, forward-backward (partition function
-and posterior marginals), Viterbi decoding, and line-oriented model
-persistence.  State features conjoin a position's attributes with its label;
-transition features are dense label bigrams applied between positions t-1
-and t for t >= 2 (the first position carries state features only).
+Feature indexing and compilation, log-space lattices, forward-backward
+(partition function and posterior marginals), Viterbi decoding, and
+line-oriented model persistence.  State features conjoin a position's
+attributes with its label; transition features are dense label bigrams
+applied between positions t-1 and t for t >= 2 (the first position carries
+state features only).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import logsumexp
 
 from .features import AttributeSet, escape_value, unescape_value
@@ -61,11 +64,15 @@ class LabelSet:
 
 
 class FeatureIndex:
-    """Parameter-slot layout: L*L transition slots first, then state slots.
+    """Parameter layout shared by training and tagging.
 
-    A state slot exists for (attribute, label) for every label and every
-    retained attribute; retained attributes get a contiguous block of L
-    slots so slot lookup is base + label index.
+    The first L*L slots hold the transition weights, slot yp*L + y.  Each
+    retained attribute owns one row: its rank in ``attributes``.  Row r
+    holds the L state slots L*L + r*L .. L*L + r*L + L-1, one per label, so
+    ``weights[L*L:].reshape(-1, L)`` views the state weights as an
+    attribute x label matrix W_state.  ``compile`` turns attribute sets into
+    a token x attribute matrix X over the same rows, and every state score,
+    in training and tagging alike, is ``X @ W_state``.
     """
 
     def __init__(self, n_labels: int, attributes: Sequence[str]):
@@ -73,21 +80,43 @@ class FeatureIndex:
             raise ValueError("label count must be positive")
         self.n_labels = n_labels
         self.attributes = tuple(attributes)
-        self._base = {
-            a: n_labels * n_labels + rank * n_labels
-            for rank, a in enumerate(self.attributes)
-        }
+        self._row = dict(zip(self.attributes, range(len(self.attributes))))
+        if len(self._row) != len(self.attributes):
+            raise ValueError("duplicate attribute")
         self.size = n_labels * n_labels + len(self.attributes) * n_labels
 
     def transition_slot(self, prev_label: int, label: int) -> int:
         return prev_label * self.n_labels + label
 
-    def state_slot(self, attribute: str, label: int) -> int | None:
-        base = self._base.get(attribute)
-        return None if base is None else base + label
-
     def state_base(self, attribute: str) -> int | None:
-        return self._base.get(attribute)
+        row = self._row.get(attribute)
+        return None if row is None else self.n_labels * (self.n_labels + row)
+
+    def compile(self, attr_sets: Iterable[Iterable[str]]) -> sparse.csr_array:
+        """Token x attribute CSR matrix with one row per attribute set.
+
+        Each retained attribute puts a 1 in its row's column; unknown
+        attributes are dropped, so a token without known attributes gets an
+        empty row and scores 0 for every label.
+        """
+        attr_sets = list(attr_sets)
+        cols = np.fromiter(
+            map(self._row.get, chain.from_iterable(attr_sets), repeat(-1)), dtype=np.int64
+        )
+        known = cols >= 0
+        # a token's row starts at the count of known attributes before it
+        starts = np.cumsum([0, *map(len, attr_sets)])
+        indptr = np.concatenate(([0], np.cumsum(known)))[starts]
+        return sparse.csr_array(
+            (np.ones(indptr[-1]), cols[known], indptr),
+            shape=(len(attr_sets), len(self.attributes)),
+        )
+
+
+def _state_scores(weights: np.ndarray, index: FeatureIndex, X: sparse.csr_array) -> np.ndarray:
+    """Per-token label scores X @ W_state, shape (tokens, L)."""
+    L = index.n_labels
+    return X @ weights[L * L:].reshape(-1, L)
 
 
 @dataclass
@@ -146,15 +175,12 @@ def index_features(
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    counts: Counter[str] = Counter()
-    seen_any = False
-    for sentence_attrs in corpus_attributes:
-        for attrs in sentence_attrs:
-            seen_any = True
-            counts.update(attrs)
-    if not seen_any:
+    tokens = [attrs for sentence_attrs in corpus_attributes for attrs in sentence_attrs]
+    if not tokens:
         raise ValueError("empty corpus")
-    retained = sorted(a for a, n in counts.items() if n >= cutoff)
+    counts = Counter(chain.from_iterable(tokens))
+    retained = [a for a, n in counts.items() if n >= cutoff]
+    retained.sort()
     return FeatureIndex(len(labels), retained)
 
 
@@ -163,41 +189,33 @@ def build_lattice(model: Model, attrs: Sequence[AttributeSet]) -> Lattice:
     if not attrs:
         raise ValueError("attribute sequence must be nonempty")
     L = len(model.labels)
-    w = model.weights
-    state = np.zeros((len(attrs), L))
-    for t, position_attrs in enumerate(attrs):
-        for attr in position_attrs:
-            base = model.index.state_base(attr)
-            if base is not None:
-                state[t] += w[base:base + L]
-    trans = w[: L * L].reshape(L, L)
-    return Lattice(state, trans)
-
-
-def log_partition(lattice: Lattice) -> float:
-    """log Z by the forward recursion in log space."""
-    alpha = lattice.state[0].copy()
-    for t in range(1, lattice.T):
-        alpha = lattice.state[t] + logsumexp(alpha[:, None] + lattice.trans, axis=0)
-    return float(logsumexp(alpha))
+    state = _state_scores(model.weights, model.index, model.index.compile(attrs))
+    return Lattice(state, model.weights[: L * L].reshape(L, L))
 
 
 def _forward_backward(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node marginals, edge marginals and log Z in log space."""
     T, L = lattice.T, lattice.L
+    state, trans = lattice.state, lattice.trans
     alpha = np.empty((T, L))
     beta = np.empty((T, L))
-    alpha[0] = lattice.state[0]
+    alpha[0] = state[0]
     for t in range(1, T):
-        alpha[t] = lattice.state[t] + logsumexp(
-            alpha[t - 1][:, None] + lattice.trans, axis=0
-        )
+        alpha[t] = state[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
     beta[T - 1] = 0.0
     for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(
-            lattice.trans + (lattice.state[t + 1] + beta[t + 1])[None, :], axis=1
-        )
+        beta[t] = logsumexp(trans + (state[t + 1] + beta[t + 1])[None, :], axis=1)
     log_z = float(logsumexp(alpha[T - 1]))
-    return alpha, beta, log_z
+    node = np.exp(alpha + beta - log_z)
+    edge = np.exp(
+        alpha[:-1, :, None] + trans + (state[1:] + beta[1:])[:, None, :] - log_z
+    )
+    return node, edge, log_z
+
+
+def log_partition(lattice: Lattice) -> float:
+    """log Z of the lattice."""
+    return _forward_backward(lattice)[2]
 
 
 def posterior_marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -207,17 +225,7 @@ def posterior_marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     (T-1, L, L); edge[t, y_prev, y] covers the transition from position t
     to t+1.
     """
-    T, L = lattice.T, lattice.L
-    alpha, beta, log_z = _forward_backward(lattice)
-    node = np.exp(alpha + beta - log_z)
-    edge = np.empty((T - 1, L, L))
-    for t in range(T - 1):
-        edge[t] = np.exp(
-            alpha[t][:, None]
-            + lattice.trans
-            + (lattice.state[t + 1] + beta[t + 1])[None, :]
-            - log_z
-        )
+    node, edge, _ = _forward_backward(lattice)
     return node, edge
 
 
@@ -325,10 +333,19 @@ def load_model(data: bytes) -> Model:
     if header[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported model version {header[1]!r}")
 
-    kind, _, count = take().partition(" ")
-    if kind != "labels":
-        raise ModelFormatError("expected label block")
-    labels = LabelSet(take() for _ in range(int(count)))
+    def block_count(kind: str) -> int:
+        name, _, count = take().partition(" ")
+        if name != kind:
+            raise ModelFormatError(f"expected {kind} block")
+        if not (count.isascii() and count.isdigit()):
+            raise ModelFormatError(f"bad {kind} count {count!r}")
+        return int(count)
+
+    label_lines = [take() for _ in range(block_count("labels"))]
+    try:
+        labels = LabelSet(label_lines)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad label block: {exc}") from None
     L = len(labels)
 
     cat_line = take()
@@ -357,17 +374,13 @@ def load_model(data: bytes) -> Model:
             cols = take().split("\t")
             if len(cols) != 3:
                 raise ModelFormatError("malformed transition line")
-            if labels.index(cols[0]) != yp or labels.index(cols[1]) != y:
+            if cols[0] != labels[yp] or cols[1] != labels[y]:
                 raise ModelFormatError("transition block out of order")
             trans[yp * L + y] = parse_weight(cols[2], "transition block")
 
-    kind, _, count = take().partition(" ")
-    if kind != "states":
-        raise ModelFormatError("expected state block")
-    n_attrs = int(count)
     attributes: list[str] = []
     state_weights: list[float] = []
-    for _ in range(n_attrs):
+    for _ in range(block_count("states")):
         attr = None
         for y in range(L):
             cols = take().split("\t")
@@ -378,13 +391,16 @@ def load_model(data: bytes) -> Model:
                 attr = unescaped
             elif unescaped != attr:
                 raise ModelFormatError("state block out of order")
-            if labels.index(cols[1]) != y:
+            if cols[1] != labels[y]:
                 raise ModelFormatError("state block out of order")
             state_weights.append(parse_weight(cols[2], f"state block ({attr!r})"))
         attributes.append(attr)
     if pos != len(lines):
         raise ModelFormatError("trailing garbage after state block")
 
-    index = FeatureIndex(L, attributes)
+    try:
+        index = FeatureIndex(L, attributes)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad state block: {exc}") from None
     weights = np.concatenate([trans, np.asarray(state_weights)]) if state_weights else trans
     return Model(labels, index, weights, catalogue_fp, lexicon_fp)

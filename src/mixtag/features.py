@@ -105,9 +105,6 @@ class NormalizationLexicon:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._entries.get(key, default)
 
-    def items(self):
-        return self._entries.items()
-
     def fingerprint(self) -> str:
         if not self._entries:
             return "empty"

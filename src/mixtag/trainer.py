@@ -2,8 +2,8 @@
 
 The objective is the negative conditional log-likelihood plus a Gaussian
 penalty ||theta||^2 / (2 sigma^2), minimized from a zero start with
-limited-memory BFGS.  Per-sentence statistics are always reduced in
-sentence order, so results are deterministic regardless of worker_count.
+limited-memory BFGS.  Per-sentence statistics are reduced in corpus order,
+so repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize
 
 from .corpus import Corpus
@@ -21,12 +22,11 @@ from .crf import (
     Lattice,
     Model,
     index_features,
-    sequence_score,
     _forward_backward,
+    _state_scores,
 )
 from .features import (
     EMPTY_LEXICON,
-    AttributeSet,
     FeatureCatalogue,
     NormalizationLexicon,
     extract_sentence_attributes,
@@ -44,7 +44,6 @@ class TrainConfig:
     max_iterations: int = 200
     tolerance: float = 1e-5
     lbfgs_memory: int = 10
-    worker_count: int = 1
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -57,8 +56,6 @@ class TrainConfig:
             raise ValueError("tolerance must be positive")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be >= 1")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
 
 @dataclass
@@ -70,21 +67,26 @@ class TrainReport:
 
 
 @dataclass
-class IndexedSentence:
-    attrs: list[AttributeSet]
-    label_ids: list[int]
-
-
-@dataclass
 class IndexedCorpus:
-    """Training corpus resolved against a label set and feature index."""
+    """Training corpus compiled against a label set and feature index.
+
+    Tokens of all sentences are stacked in corpus order.  ``X`` is the
+    token x attribute matrix from ``FeatureIndex.compile``, whose columns
+    are the index's attribute rows, so ``X @ W_state`` scores the tokens
+    exactly as tagging does.  Sentence s covers tokens
+    ``offsets[s]:offsets[s + 1]``.  ``empirical`` holds the gold feature
+    count of every parameter slot.
+    """
 
     labels: LabelSet
     index: FeatureIndex
-    sentences: list[IndexedSentence]
+    X: sparse.csr_array  # (tokens, attributes)
+    label_ids: np.ndarray  # (tokens,) gold label ids
+    offsets: np.ndarray  # (sentences + 1,)
+    empirical: np.ndarray  # (index.size,)
 
     def token_count(self) -> int:
-        return sum(len(s.label_ids) for s in self.sentences)
+        return len(self.label_ids)
 
 
 def index_corpus(
@@ -93,7 +95,7 @@ def index_corpus(
     catalogue: FeatureCatalogue = FeatureCatalogue(),
     cutoff: int = 1,
 ) -> IndexedCorpus:
-    """Extract attributes, collect labels, and build the feature index."""
+    """Extract attributes, collect labels, build the index and compile."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     label_strings = set()
@@ -105,30 +107,28 @@ def index_corpus(
                 )
             label_strings.add(token.pos)
     labels = LabelSet(sorted(label_strings))
+    L = len(labels)
 
     all_attrs = [
         extract_sentence_attributes(sentence, lexicon, catalogue)
         for sentence in corpus
     ]
     index = index_features(all_attrs, labels, cutoff)
-    sentences = [
-        IndexedSentence(attrs, [labels.index(tok.pos) for tok in sentence])
-        for sentence, attrs in zip(corpus, all_attrs)
-    ]
-    return IndexedCorpus(labels, index, sentences)
+    X = index.compile(attrs for sentence_attrs in all_attrs for attrs in sentence_attrs)
+    label_ids = np.array(
+        [labels.index(tok.pos) for sentence in corpus for tok in sentence], dtype=np.int64
+    )
+    offsets = np.cumsum([0] + [len(sentence) for sentence in corpus])
 
-
-def _sentence_lattice(
-    weights: np.ndarray, index: FeatureIndex, sent: IndexedSentence
-) -> Lattice:
-    L = index.n_labels
-    state = np.zeros((len(sent.attrs), L))
-    for t, attrs in enumerate(sent.attrs):
-        for attr in attrs:
-            base = index.state_base(attr)
-            if base is not None:
-                state[t] += weights[base:base + L]
-    return Lattice(state, weights[: L * L].reshape(L, L))
+    # gold slots: one per fired retained attribute, one per adjacent label pair
+    has_prev = np.ones(len(label_ids), dtype=bool)
+    has_prev[offsets[:-1]] = False
+    state_slots = L * L + X.indices * L + np.repeat(label_ids, np.diff(X.indptr))
+    trans_slots = label_ids[:-1][has_prev[1:]] * L + label_ids[has_prev]
+    empirical = np.bincount(
+        np.concatenate([trans_slots, state_slots]), minlength=index.size
+    ).astype(np.float64)
+    return IndexedCorpus(labels, index, X, label_ids, offsets, empirical)
 
 
 def objective_and_gradient(
@@ -136,47 +136,29 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Penalized negative log-likelihood and its gradient.
 
-    Each gradient component is expected feature count minus empirical count
-    plus the penalty term theta_k / sigma^2.
+    The value is sum(log Z) - w.empirical + ||w||^2 / (2 sigma^2); the
+    gradient is expected counts - empirical counts + w / sigma^2.
     """
-    index = corpus.index
-    L = index.n_labels
+    L = corpus.index.n_labels
     weights = np.asarray(weights, dtype=np.float64)
-    value = 0.0
-    grad = np.zeros_like(weights)
+    trans = weights[: L * L].reshape(L, L)
+    state = _state_scores(weights, corpus.index, corpus.X)
 
-    for sent in corpus.sentences:
-        lattice = _sentence_lattice(weights, index, sent)
-        alpha, beta, log_z = _forward_backward(lattice)
-        node = np.exp(alpha + beta - log_z)
+    log_z = 0.0
+    node = np.empty_like(state)
+    trans_expected = np.zeros((L, L))
+    bounds = corpus.offsets.tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        node[start:end], edge, sentence_log_z = _forward_backward(
+            Lattice(state[start:end], trans)
+        )
+        trans_expected += edge.sum(axis=0)
+        log_z += sentence_log_z
 
-        gold = sequence_score(lattice, sent.label_ids)
-        value -= gold - log_z
-
-        # expected minus empirical state counts
-        for t, attrs in enumerate(sent.attrs):
-            gold_y = sent.label_ids[t]
-            for attr in attrs:
-                base = index.state_base(attr)
-                if base is None:
-                    continue
-                grad[base:base + L] += node[t]
-                grad[base + gold_y] -= 1.0
-
-        # expected minus empirical transition counts
-        if lattice.T > 1:
-            trans_grad = np.zeros((L, L))
-            for t in range(lattice.T - 1):
-                trans_grad += np.exp(
-                    alpha[t][:, None]
-                    + lattice.trans
-                    + (lattice.state[t + 1] + beta[t + 1])[None, :]
-                    - log_z
-                )
-                trans_grad[sent.label_ids[t], sent.label_ids[t + 1]] -= 1.0
-            grad[: L * L] += trans_grad.ravel()
-
+    value = log_z - float(np.dot(weights, corpus.empirical))
     value += float(np.dot(weights, weights)) / (2.0 * l2_sigma2)
+    grad = np.concatenate([trans_expected.ravel(), (corpus.X.T @ node).ravel()])
+    grad -= corpus.empirical
     grad += weights / l2_sigma2
     return value, grad
 

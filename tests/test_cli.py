@@ -170,6 +170,17 @@ class TestTag:
         assert code == 2
         assert "version" in err
 
+    def test_unknown_label_in_model_is_data_error(self, workdir, capsys):
+        model = self._train(workdir, capsys)
+        model.write_bytes(model.read_bytes().replace(b"\nJJ\tJJ\t", b"\nZZ\tJJ\t", 1))
+        code, _, err = run(
+            ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
+             "--output", str(workdir / "out.txt")],
+            capsys,
+        )
+        assert code == 2
+        assert "transition block" in err
+
 
 class TestEval:
     def test_identical_files(self, workdir, capsys):

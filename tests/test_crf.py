@@ -55,15 +55,15 @@ class TestFeatureIndex:
         labels = LabelSet(["A", "B", "C"])
         attrs = [[aset("LEN=L_1")] for _ in range(5)]
         idx = index_features(attrs, labels, cutoff=1)
-        slots = [idx.state_slot("LEN=L_1", y) for y in range(3)]
-        assert all(s is not None for s in slots)
-        assert len(set(slots)) == 3
+        base = idx.state_base("LEN=L_1")
+        assert base is not None
+        assert [base + y for y in range(3)] == [9, 10, 11]
 
     def test_cutoff_drops_rare_attributes(self):
         labels = LabelSet(["A", "B", "C"])
         attrs = [[aset("LEN=L_1")] for _ in range(5)]
         idx = index_features(attrs, labels, cutoff=6)
-        assert idx.state_slot("LEN=L_1", 0) is None
+        assert idx.state_base("LEN=L_1") is None
 
     def test_dense_transitions(self):
         labels = LabelSet(["A", "B", "C"])
@@ -89,14 +89,15 @@ class TestBuildLattice:
 
     def test_unknown_attribute_contributes_zero(self):
         model = model_from_lattice(np.ones((1, 2)), np.zeros((2, 2)))
-        lat = build_lattice(model, [aset("A0", "UNSEEN=1")])
-        assert np.allclose(lat.state, 1.0)
+        # the second position fires no known attribute: an empty row
+        lat = build_lattice(model, [aset("A0", "UNSEEN=1"), aset("UNSEEN=2")])
+        assert lat.state.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_single_firing_attribute(self):
         labels = LabelSet(["a", "b", "c"])
         idx = FeatureIndex(3, ["f"])
         w = np.zeros(idx.size)
-        w[idx.state_slot("f", 2)] = 0.7
+        w[idx.state_base("f") + 2] = 0.7
         model = Model(labels, idx, w)
         lat = build_lattice(model, [aset("f")])
         assert lat.state[0][2] == 0.7
@@ -289,6 +290,27 @@ class TestPersistence:
         lines[first_trans] = "\t".join(cols)
         with pytest.raises(ModelFormatError, match="non-finite"):
             load_model("\n".join(lines).encode())
+
+    def test_unknown_label_in_transitions(self, rng):
+        data = save_model(self._model(rng)).replace(b"\nN\tN\t", b"\nZZ\tN\t", 1)
+        with pytest.raises(ModelFormatError, match="transition block"):
+            load_model(data)
+
+    def test_unknown_label_in_states(self, rng):
+        data = save_model(self._model(rng)).replace(b"\nLEN=L_2\tN\t", b"\nLEN=L_2\tZZ\t")
+        with pytest.raises(ModelFormatError, match="state block"):
+            load_model(data)
+
+    def test_bad_label_count(self, rng):
+        data = save_model(self._model(rng)).replace(b"\nlabels 3\n", b"\nlabels x\n")
+        with pytest.raises(ModelFormatError, match="labels count"):
+            load_model(data)
+
+    def test_duplicate_state_block(self, rng):
+        # the second attribute block repeats the first one's attribute
+        data = save_model(self._model(rng)).replace(b"\nW0=khub\t", b"\nLEN=L_2\t")
+        with pytest.raises(ModelFormatError, match="duplicate"):
+            load_model(data)
 
     def test_escaped_attribute_round_trip(self):
         labels = LabelSet(["X"])

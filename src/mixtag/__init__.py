@@ -24,7 +24,6 @@ from .crf import (
     log_partition,
     posterior_marginals,
     save_model,
-    sequence_log_prob,
     viterbi,
 )
 from .evaluation import (

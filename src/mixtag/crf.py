@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp
 
 from .features import AttributeSet, escape_value, unescape_value
 
@@ -193,29 +192,73 @@ def build_lattice(model: Model, attrs: Sequence[AttributeSet]) -> Lattice:
     return Lattice(state, model.weights[: L * L].reshape(L, L))
 
 
-def _forward_backward(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node marginals, edge marginals and log Z in log space."""
-    T, L = lattice.T, lattice.L
-    state, trans = lattice.state, lattice.trans
-    alpha = np.empty((T, L))
-    beta = np.empty((T, L))
-    alpha[0] = state[0]
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along one axis, shifted by the maximum."""
+    m = x.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _forward_backward(
+    state: np.ndarray, trans: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-space forward-backward over a batch of sentences at once.
+
+    ``state`` stacks the tokens of all sentences, sentence s covering rows
+    ``offsets[s]:offsets[s + 1]``.  The sentences are sorted once by length,
+    longest first (a stable sort, so the order is fixed), and packed time
+    major: step t holds position t of the ``active[t]`` sentences longer
+    than t, in rows ``start[t]:start[t] + active[t]``.  Each step touches
+    only these rows, and the sentences still running at step t + 1 are a
+    prefix of them, so a short sentence costs no padded work.
+
+    Returns node marginals (tokens, L) in the input row order, edge
+    marginals (T_max - 1, L, L) in which edge[t, y_prev, y] sums
+    P(y_t = y_prev, y_{t+1} = y | x) over the batch, and log Z per sentence.
+    """
+    lengths = np.diff(offsets)
+    B, L = len(lengths), trans.shape[0]
+    order = np.argsort(-lengths, kind="stable")
+    T = int(lengths[order[0]])
+    # active[t]: sentences longer than t
+    active = np.cumsum(np.bincount(lengths, minlength=T + 1)[::-1])[::-1][1:]
+    start = np.concatenate(([0], np.cumsum(active)))
+    # packed row r is position step[r] of sorted sentence slot[r]
+    step = np.repeat(np.arange(T), active)
+    slot = np.arange(len(step)) - start[step]
+    rows = offsets[order][slot] + step
+    score = state[rows]
+
+    alpha = np.empty_like(score)
+    alpha[: active[0]] = score[: active[0]]
     for t in range(1, T):
-        alpha[t] = state[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
-    beta[T - 1] = 0.0
+        n, prev, cur = active[t], start[t - 1], start[t]
+        alpha[cur:cur + n] = score[cur:cur + n] + _logsumexp(
+            alpha[prev:prev + n, :, None] + trans, axis=1
+        )
+    log_z = _logsumexp(alpha[start[lengths[order] - 1] + np.arange(B)], axis=1)
+
+    beta = np.zeros_like(score)  # 0 at each sentence's last position
+    edge = np.empty((T - 1, L, L))
     for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(trans + (state[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = float(logsumexp(alpha[T - 1]))
-    node = np.exp(alpha + beta - log_z)
-    edge = np.exp(
-        alpha[:-1, :, None] + trans + (state[1:] + beta[1:])[:, None, :] - log_z
-    )
-    return node, edge, log_z
+        n, cur, nxt = active[t + 1], start[t], start[t + 1]
+        # to_next[b, y_prev, y]: log weight of y_prev -> y plus everything after
+        to_next = trans + (score[nxt:nxt + n] + beta[nxt:nxt + n])[:, None, :]
+        beta[cur:cur + n] = _logsumexp(to_next, axis=2)
+        edge[t] = np.exp(
+            alpha[cur:cur + n, :, None] + to_next - log_z[:n, None, None]
+        ).sum(axis=0)
+
+    node = np.empty_like(score)
+    node[rows] = np.exp(alpha + beta - log_z[slot, None])
+    sentence_log_z = np.empty(B)
+    sentence_log_z[order] = log_z
+    return node, edge, sentence_log_z
 
 
 def log_partition(lattice: Lattice) -> float:
     """log Z of the lattice."""
-    return _forward_backward(lattice)[2]
+    _, _, log_z = _forward_backward(lattice.state, lattice.trans, np.array([0, lattice.T]))
+    return float(log_z[0])
 
 
 def posterior_marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +268,7 @@ def posterior_marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     (T-1, L, L); edge[t, y_prev, y] covers the transition from position t
     to t+1.
     """
-    node, edge, _ = _forward_backward(lattice)
+    node, edge, _ = _forward_backward(lattice.state, lattice.trans, np.array([0, lattice.T]))
     return node, edge
 
 
@@ -241,17 +284,6 @@ def sequence_score(lattice: Lattice, label_ids: Sequence[int]) -> float:
             score += lattice.trans[prev, y]
         prev = y
     return float(score)
-
-
-def sequence_log_prob(
-    model: Model, attrs: Sequence[AttributeSet], labels: Sequence[str]
-) -> float:
-    """log P(y | x) for one labeling."""
-    if len(labels) != len(attrs):
-        raise ValueError("label sequence length does not match attribute sequence")
-    label_ids = [model.labels.index(y) for y in labels]
-    lattice = build_lattice(model, attrs)
-    return sequence_score(lattice, label_ids) - log_partition(lattice)
 
 
 def viterbi_lattice(lattice: Lattice) -> tuple[list[int], float]:
@@ -381,15 +413,14 @@ def load_model(data: bytes) -> Model:
     attributes: list[str] = []
     state_weights: list[float] = []
     for _ in range(block_count("states")):
-        attr = None
         for y in range(L):
             cols = take().split("\t")
             if len(cols) != 3:
                 raise ModelFormatError("malformed state line")
-            unescaped = unescape_value(cols[0])
-            if attr is None:
-                attr = unescaped
-            elif unescaped != attr:
+            # every label line spells the attribute exactly as the first one
+            if y == 0:
+                raw, attr = cols[0], unescape_value(cols[0])
+            elif cols[0] != raw:
                 raise ModelFormatError("state block out of order")
             if cols[1] != labels[y]:
                 raise ModelFormatError("state block out of order")

@@ -49,6 +49,8 @@ def escape_value(value: str) -> str:
 
 
 def unescape_value(value: str) -> str:
+    if "\\" not in value:
+        return value
     out = []
     i = 0
     while i < len(value):

@@ -2,8 +2,9 @@
 
 The objective is the negative conditional log-likelihood plus a Gaussian
 penalty ||theta||^2 / (2 sigma^2), minimized from a zero start with
-limited-memory BFGS.  Per-sentence statistics are reduced in corpus order,
-so repeated runs give identical results.
+limited-memory BFGS.  Each evaluation runs one batched forward-backward
+over the whole corpus, whose sentences it visits in one fixed order, so
+repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .corpus import Corpus
 from .crf import (
     FeatureIndex,
     LabelSet,
-    Lattice,
     Model,
     index_features,
     _forward_backward,
@@ -143,21 +143,13 @@ def objective_and_gradient(
     weights = np.asarray(weights, dtype=np.float64)
     trans = weights[: L * L].reshape(L, L)
     state = _state_scores(weights, corpus.index, corpus.X)
+    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
+        raise ValueError("non-finite lattice score")
+    node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
 
-    log_z = 0.0
-    node = np.empty_like(state)
-    trans_expected = np.zeros((L, L))
-    bounds = corpus.offsets.tolist()
-    for start, end in zip(bounds, bounds[1:]):
-        node[start:end], edge, sentence_log_z = _forward_backward(
-            Lattice(state[start:end], trans)
-        )
-        trans_expected += edge.sum(axis=0)
-        log_z += sentence_log_z
-
-    value = log_z - float(np.dot(weights, corpus.empirical))
+    value = float(log_z.sum()) - float(np.dot(weights, corpus.empirical))
     value += float(np.dot(weights, weights)) / (2.0 * l2_sigma2)
-    grad = np.concatenate([trans_expected.ravel(), (corpus.X.T @ node).ravel()])
+    grad = np.concatenate([edge.sum(axis=0).ravel(), (corpus.X.T @ node).ravel()])
     grad -= corpus.empirical
     grad += weights / l2_sigma2
     return value, grad
@@ -179,20 +171,20 @@ def train(
     report = TrainReport()
 
     weights = np.zeros(indexed.index.size)
+    cache: dict[bytes, tuple[float, np.ndarray]] = {}
+
+    def fun(w: np.ndarray) -> tuple[float, np.ndarray]:
+        key = w.tobytes()
+        hit = cache.get(key)
+        if hit is None:
+            hit = objective_and_gradient(w, indexed, config.l2_sigma2)
+            if not np.isfinite(hit[0]):
+                raise TrainingError("objective became non-finite")
+            cache.clear()  # keep only the most recent evaluation
+            cache[key] = hit
+        return hit
+
     if config.max_iterations > 0:
-        cache: dict[bytes, tuple[float, np.ndarray]] = {}
-
-        def fun(w: np.ndarray) -> tuple[float, np.ndarray]:
-            key = w.tobytes()
-            hit = cache.get(key)
-            if hit is None:
-                hit = objective_and_gradient(w, indexed, config.l2_sigma2)
-                if not np.isfinite(hit[0]):
-                    raise TrainingError("objective became non-finite")
-                cache.clear()  # keep only the most recent evaluation
-                cache[key] = hit
-            return hit
-
         def callback(w: np.ndarray) -> None:
             value, grad = fun(w)
             report.history.append((value, float(np.linalg.norm(grad))))
@@ -215,7 +207,8 @@ def train(
         weights = result.x
         report.iterations = int(result.nit)
 
-    value, _ = objective_and_gradient(weights, indexed, config.l2_sigma2)
+    # the optimizer's last evaluation is normally at result.x: a cache hit
+    value, _ = fun(weights)
     report.final_objective = float(value)
     report.wall_time = time.perf_counter() - start
 

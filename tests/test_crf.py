@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixtag.crf import (
+    _forward_backward,
     FeatureIndex,
     LabelSet,
     Lattice,
@@ -15,7 +16,6 @@ from mixtag.crf import (
     log_partition,
     posterior_marginals,
     save_model,
-    sequence_log_prob,
     sequence_score,
     viterbi,
     viterbi_lattice,
@@ -175,14 +175,70 @@ class TestMarginals:
         assert viterbi_lattice(lat)[0] == viterbi_lattice(lat2)[0]
 
 
+class TestBatchedForwardBackward:
+    """The one recursion run over many sentences at once, against brute force."""
+
+    def _batch(self, rng, lengths, L, scale=1.0):
+        lattices = [oracles.random_dyadic_lattice(rng, T, L) for T in lengths]
+        trans = scale * lattices[0][1]
+        state = scale * np.concatenate([s for s, _ in lattices])
+        offsets = np.cumsum([0, *lengths])
+        return state, trans, offsets
+
+    def _check(self, state, trans, offsets):
+        node, edge, log_z = _forward_backward(state, trans, offsets)
+        lengths = np.diff(offsets)
+        L = trans.shape[0]
+        assert node.shape == state.shape
+        assert edge.shape == (max(lengths) - 1, L, L)
+        assert log_z.shape == (len(lengths),)
+        expected_edge = np.zeros_like(edge)
+        for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            assert log_z[s] == pytest.approx(
+                oracles.brute_log_partition(state[a:b], trans), rel=1e-12
+            )
+            brute_node, brute_edge = oracles.brute_marginals(state[a:b], trans)
+            assert np.allclose(node[a:b], brute_node, atol=1e-10)
+            expected_edge[: b - a - 1] += brute_edge
+        assert np.allclose(edge, expected_edge, atol=1e-10)
+
+    def test_ragged_unsorted_batch(self, rng):
+        # lengths out of order and repeated, a one-token sentence first and last
+        self._check(*self._batch(rng, [1, 3, 6, 2, 3, 4, 5, 6, 1], 3))
+
+    def test_single_sentence_matches_lattice_api(self, rng):
+        state, trans, offsets = self._batch(rng, [5], 3)
+        node, edge, log_z = _forward_backward(state, trans, offsets)
+        lattice = Lattice(state, trans)
+        assert log_z[0] == log_partition(lattice)
+        lattice_node, lattice_edge = posterior_marginals(lattice)
+        assert np.array_equal(node, lattice_node)
+        assert np.array_equal(edge, lattice_edge)
+
+    def test_large_scores_stay_finite(self, rng):
+        # scores of magnitude ~50: exp would overflow without the max shift
+        state, trans, offsets = self._batch(rng, [4, 1, 5, 2], 3, scale=25.0)
+        assert np.max(np.abs(state)) >= 45
+        node, edge, log_z = _forward_backward(state, trans, offsets)
+        assert np.all(np.isfinite(node)) and np.all(np.isfinite(edge))
+        assert np.all(np.isfinite(log_z))
+        assert np.allclose(node.sum(axis=1), 1.0, atol=1e-12)
+        self._check(state, trans, offsets)
+
+
+def log_prob(model, attrs, labels):
+    """log P(y | x) of one labeling: path score minus log Z."""
+    lattice = build_lattice(model, attrs)
+    label_ids = [model.labels.index(y) for y in labels]
+    return sequence_score(lattice, label_ids) - log_partition(lattice)
+
+
 class TestSequenceLogProb:
     def test_uniform(self):
         model = model_from_lattice(np.zeros((2, 3)), np.zeros((3, 3)))
         attrs = [aset("A0"), aset("A1")]
         for y in ("y0", "y1", "y2"):
-            assert sequence_log_prob(model, attrs, [y, y]) == pytest.approx(
-                -2 * math.log(3)
-            )
+            assert log_prob(model, attrs, [y, y]) == pytest.approx(-2 * math.log(3))
 
     def test_probabilities_sum_to_one(self, rng):
         import itertools
@@ -191,7 +247,7 @@ class TestSequenceLogProb:
         model = model_from_lattice(state, trans)
         attrs = [aset(f"A{t}") for t in range(4)]
         total = sum(
-            math.exp(sequence_log_prob(model, attrs, [f"y{i}" for i in seq]))
+            math.exp(log_prob(model, attrs, [f"y{i}" for i in seq]))
             for seq in itertools.product(range(3), repeat=4)
         )
         assert total == pytest.approx(1.0, rel=1e-10)
@@ -199,12 +255,12 @@ class TestSequenceLogProb:
     def test_unknown_label(self):
         model = model_from_lattice(np.zeros((1, 2)), np.zeros((2, 2)))
         with pytest.raises(KeyError):
-            sequence_log_prob(model, [aset("A0")], ["zz"])
+            log_prob(model, [aset("A0")], ["zz"])
 
     def test_length_mismatch(self):
         model = model_from_lattice(np.zeros((1, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            sequence_log_prob(model, [aset("A0")], ["y0", "y0"])
+            log_prob(model, [aset("A0")], ["y0", "y0"])
 
 
 class TestViterbi:
@@ -310,6 +366,23 @@ class TestPersistence:
         # the second attribute block repeats the first one's attribute
         data = save_model(self._model(rng)).replace(b"\nW0=khub\t", b"\nLEN=L_2\t")
         with pytest.raises(ModelFormatError, match="duplicate"):
+            load_model(data)
+
+    def test_special_characters_round_trip(self, rng):
+        labels = LabelSet(["X", "Y"])
+        idx = FeatureIndex(2, ["W0=a\tb", "W0=a\nb", "W0=a\\b", "W0=a\\tb", "W0=\\"])
+        model = Model(labels, idx, rng.standard_normal(idx.size))
+        loaded = load_model(save_model(model))
+        assert loaded.index.attributes == idx.attributes
+        assert np.array_equal(loaded.weights, model.weights)
+
+    def test_block_spelled_differently(self):
+        # "\\a" unescapes to "a", but a block's label lines must spell its
+        # attribute exactly as the first line does
+        model = Model(LabelSet(["X", "Y"]), FeatureIndex(2, ["W0=ab"]), np.zeros(6))
+        data = save_model(model).replace(b"\nW0=ab\tY\t", b"\nW0=\\ab\tY\t")
+        assert data != save_model(model)
+        with pytest.raises(ModelFormatError, match="state block"):
             load_model(data)
 
     def test_escaped_attribute_round_trip(self):

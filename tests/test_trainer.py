@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mixtag import trainer
 from mixtag.corpus import Corpus, CorpusMeta, Sentence, Token
-from mixtag.features import FeatureCatalogue
+from mixtag.crf import Model, build_lattice, log_partition, sequence_score
+from mixtag.features import FeatureCatalogue, extract_sentence_attributes
 from mixtag.trainer import (
     TrainConfig,
     index_corpus,
@@ -80,6 +82,74 @@ class TestObjective:
                 fd = numerical_gradient(w, indexed, sigma2)
                 denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
                 assert np.max(np.abs(grad - fd) / denom) < 1e-4
+
+
+class TestBatchedObjective:
+    def test_equals_per_sentence_log_partitions(self, rng):
+        corpus = toy_corpus()
+        indexed = index_corpus(corpus, catalogue=LEAN)
+        w = rng.standard_normal(indexed.index.size)
+        model = Model(indexed.labels, indexed.index, w)
+        expected = float(np.dot(w, w)) / (2 * 10.0)
+        for sentence in corpus:
+            lattice = build_lattice(model, extract_sentence_attributes(sentence, catalogue=LEAN))
+            gold = [indexed.labels.index(token.pos) for token in sentence]
+            expected += log_partition(lattice) - sequence_score(lattice, gold)
+        value, _ = objective_and_gradient(w, indexed, 10.0)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_sentence_order_does_not_matter(self, rng):
+        corpus = toy_corpus()
+        order = [3, 0, 4, 2, 1]
+        permuted = make_corpus(*(corpus.sentences[i] for i in order))
+        indexed = index_corpus(corpus, catalogue=LEAN)
+        indexed_permuted = index_corpus(permuted, catalogue=LEAN)
+        assert indexed_permuted.index.attributes == indexed.index.attributes
+        w = rng.standard_normal(indexed.index.size)
+        value, grad = objective_and_gradient(w, indexed, 10.0)
+        value_p, grad_p = objective_and_gradient(w, indexed_permuted, 10.0)
+        assert value_p == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert np.allclose(grad_p, grad, rtol=0, atol=1e-12)
+
+
+class TestFinalObjective:
+    """train reuses the optimizer's last evaluation for the final objective."""
+
+    def _count_calls(self, monkeypatch):
+        calls = []
+        objective = trainer.objective_and_gradient
+
+        def counted(*args):
+            calls.append(args[0].copy())
+            return objective(*args)
+
+        monkeypatch.setattr(trainer, "objective_and_gradient", counted)
+        return calls
+
+    def test_zero_iterations_evaluates_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        _, report = train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=0))
+        assert len(calls) == 1
+        indexed = index_corpus(toy_corpus(), catalogue=LEAN)
+        assert report.final_objective == objective_and_gradient(calls[0], indexed, 10.0)[0]
+
+    def test_no_evaluation_after_optimizer(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        calls_when_optimizer_returned = []
+        minimize = trainer.minimize
+
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            calls_when_optimizer_returned.append(len(calls))
+            return result
+
+        monkeypatch.setattr(trainer, "minimize", recorded)
+        config = TrainConfig(max_iterations=8)
+        model, report = train(toy_corpus(), catalogue=LEAN, config=config)
+        assert calls_when_optimizer_returned == [len(calls)]
+        indexed = index_corpus(toy_corpus(), catalogue=LEAN)
+        expected, _ = objective_and_gradient(model.weights, indexed, config.l2_sigma2)
+        assert report.final_objective == expected
 
 
 class TestTrain:

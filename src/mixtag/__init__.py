@@ -5,7 +5,6 @@ from .corpus import (
     TRAIN3COL,
     Corpus,
     CorpusError,
-    CorpusMeta,
     Sentence,
     Token,
     merge_corpora,
@@ -36,7 +35,6 @@ from .evaluation import (
     render_report,
 )
 from .features import (
-    AttributeSet,
     FeatureCatalogue,
     LexiconError,
     NormalizationLexicon,

@@ -7,14 +7,12 @@ tag, POS tag); test data carries two (token, language tag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 TRAIN3COL = "train3col"
 TEST2COL = "test2col"
-
-_SOURCES = {"facebook", "twitter", "whatsapp", "mixed", "unknown"}
-_GRANULARITIES = {"coarse", "fine", "unknown"}
 
 _BAD_SURFACE_CHARS = ("\t", "\r", "\n")
 
@@ -65,22 +63,8 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class CorpusMeta:
-    source: str = "unknown"
-    granularity: str = "unknown"
-    pair: str = ""
-
-    def __post_init__(self):
-        if self.source not in _SOURCES:
-            raise CorpusError(f"unknown source {self.source!r}")
-        if self.granularity not in _GRANULARITIES:
-            raise CorpusError(f"unknown granularity {self.granularity!r}")
-
-
-@dataclass(frozen=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
-    meta: CorpusMeta = field(default_factory=CorpusMeta)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -100,7 +84,7 @@ def _check_schema(schema: str) -> int:
     raise ValueError(f"unknown schema {schema!r}")
 
 
-def parse_corpus(text: str, schema: str, meta: CorpusMeta | None = None) -> Corpus:
+def parse_corpus(text: str, schema: str) -> Corpus:
     """Parse tab-separated column text into a Corpus.
 
     Blank lines end the current sentence; a trailing partial sentence is
@@ -139,35 +123,14 @@ def parse_corpus(text: str, schema: str, meta: CorpusMeta | None = None) -> Corp
         current.append(token)
     close_sentence()
 
-    return Corpus(tuple(sentences), meta if meta is not None else CorpusMeta())
+    return Corpus(tuple(sentences))
 
 
 def merge_corpora(parts: Sequence[Corpus]) -> Corpus:
-    """Concatenate corpora in argument order.
-
-    Known granularities must agree; the merged source becomes "mixed" when
-    the parts disagree.
-    """
+    """Concatenate corpora in argument order."""
     if not parts:
         raise CorpusError("nothing to merge")
-
-    granularities = {c.meta.granularity for c in parts} - {"unknown"}
-    if len(granularities) > 1:
-        raise CorpusError(
-            f"conflicting granularities: {', '.join(sorted(granularities))}"
-        )
-    granularity = granularities.pop() if granularities else "unknown"
-
-    sources = {c.meta.source for c in parts}
-    source = sources.pop() if len(sources) == 1 else "mixed"
-
-    pairs = {c.meta.pair for c in parts}
-    pair = pairs.pop() if len(pairs) == 1 else ""
-
-    sentences: list[Sentence] = []
-    for part in parts:
-        sentences.extend(part.sentences)
-    return Corpus(tuple(sentences), CorpusMeta(source, granularity, pair))
+    return Corpus(tuple(chain.from_iterable(part.sentences for part in parts)))
 
 
 def write_corpus(corpus: Corpus, schema: str) -> str:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from itertools import chain, cycle, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .features import AttributeSet, escape_value, unescape_value
+from .features import escape_value, unescape_value
 
 MODEL_MAGIC = "MIXTAG-MODEL"
 MODEL_VERSION = 1
@@ -83,9 +83,6 @@ class FeatureIndex:
         if len(self._row) != len(self.attributes):
             raise ValueError("duplicate attribute")
         self.size = n_labels * n_labels + len(self.attributes) * n_labels
-
-    def transition_slot(self, prev_label: int, label: int) -> int:
-        return prev_label * self.n_labels + label
 
     def state_base(self, attribute: str) -> int | None:
         row = self._row.get(attribute)
@@ -162,7 +159,7 @@ class Lattice:
 
 
 def index_features(
-    corpus_attributes: Iterable[Sequence[AttributeSet]],
+    corpus_attributes: Iterable[Sequence[tuple[str, ...]]],
     labels: LabelSet,
     cutoff: int = 1,
 ) -> FeatureIndex:
@@ -183,7 +180,7 @@ def index_features(
     return FeatureIndex(len(labels), retained)
 
 
-def build_lattice(model: Model, attrs: Sequence[AttributeSet]) -> Lattice:
+def build_lattice(model: Model, attrs: Sequence[tuple[str, ...]]) -> Lattice:
     """Score every (position, label) pair; unknown attributes contribute 0."""
     if not attrs:
         raise ValueError("attribute sequence must be nonempty")
@@ -305,38 +302,74 @@ def viterbi_lattice(lattice: Lattice) -> tuple[list[int], float]:
     return path, float(best[0][path[0]])
 
 
-def viterbi(model: Model, attrs: Sequence[AttributeSet]) -> tuple[list[str], float]:
+def viterbi(model: Model, attrs: Sequence[tuple[str, ...]]) -> tuple[list[str], float]:
     lattice = build_lattice(model, attrs)
     path, score = viterbi_lattice(lattice)
     return [model.labels[y] for y in path], score
 
 
-def _format_weight(w: float) -> str:
-    return format(float(w), ".17g")
+def _grid_lines(keys: Iterable[str], labels: LabelSet, weights: np.ndarray) -> Iterator[str]:
+    """One ``key<TAB>label<TAB>weight`` line per weight, L lines per key.
+
+    The weights are taken in order: key k's labels hold ``weights[k*L:(k+1)*L]``.
+    """
+    L = len(labels)
+    # one float at a time: a whole-block weights.tolist() raises peak RSS
+    return map(
+        "{}\t{}\t{:.17g}".format,
+        chain.from_iterable(map(repeat, keys, repeat(L))),
+        cycle(labels),
+        map(float, weights),
+    )
+
+
+def _read_grid(lines: list[str], labels: LabelSet, block: str) -> tuple[list[str], np.ndarray]:
+    """Keys, as spelled in the file, and weights of a ``_grid_lines`` block.
+
+    Each key's L lines must name the labels in order and spell the key alike.
+    """
+    # checked before any joining, where a line short one tab followed by a
+    # line with one extra tab would realign
+    if set(map(str.count, lines, repeat("\t"))) - {2}:
+        raise ModelFormatError(f"malformed {block} line")
+    L = len(labels)
+    expected = list(labels)
+    keys: list[str] = []
+    weights = np.empty(len(lines))
+    for start in range(0, len(lines), L):
+        fields = "\t".join(lines[start:start + L]).split("\t")
+        key = fields[0]
+        if fields[1::3] != expected or fields[0::3].count(key) != L:
+            raise ModelFormatError(f"{block} block out of order")
+        try:
+            weights[start:start + L] = fields[2::3]
+        except ValueError as exc:
+            raise ModelFormatError(f"bad weight in {block} block ({key!r}): {exc}") from None
+        keys.append(key)
+    finite = np.isfinite(weights)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ModelFormatError(
+            f"non-finite weight {weights[bad]} in {block} block ({keys[bad // L]!r})"
+        )
+    return keys, weights
 
 
 def save_model(model: Model) -> bytes:
     """Serialize to the line-oriented text format, round-trip exact."""
-    L = len(model.labels)
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    lines.append(f"labels {L}")
-    lines.extend(model.labels)
-    lines.append(f"catalogue {model.catalogue_fingerprint}")
-    lines.append(f"lexicon {model.lexicon_fingerprint}")
-    lines.append("transitions")
-    for yp in range(L):
-        for y in range(L):
-            slot = model.index.transition_slot(yp, y)
-            lines.append(
-                f"{model.labels[yp]}\t{model.labels[y]}\t{_format_weight(model.weights[slot])}"
-            )
-    lines.append(f"states {len(model.index.attributes)}")
-    for attr in model.index.attributes:
-        base = model.index.state_base(attr)
-        for y in range(L):
-            lines.append(
-                f"{escape_value(attr)}\t{model.labels[y]}\t{_format_weight(model.weights[base + y])}"
-            )
+    labels, L = model.labels, len(model.labels)
+    attributes = model.index.attributes
+    lines = [
+        f"{MODEL_MAGIC} {MODEL_VERSION}",
+        f"labels {L}",
+        *labels,
+        f"catalogue {model.catalogue_fingerprint}",
+        f"lexicon {model.lexicon_fingerprint}",
+        "transitions",
+        *_grid_lines(labels, labels, model.weights[: L * L]),
+        f"states {len(attributes)}",
+        *_grid_lines(map(escape_value, attributes), labels, model.weights[L * L:]),
+    ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -351,87 +384,53 @@ def load_model(data: bytes) -> Model:
         lines.pop()
     pos = 0
 
-    def take() -> str:
+    def take(n: int) -> list[str]:
         nonlocal pos
-        if pos >= len(lines):
+        if pos + n > len(lines):
             raise ModelFormatError("truncated model file")
-        line = lines[pos]
-        pos += 1
-        return line
+        pos += n
+        return lines[pos - n:pos]
 
-    header = take().split(" ")
+    header = take(1)[0].split(" ")
     if len(header) != 2 or header[0] != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
     if header[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported model version {header[1]!r}")
 
     def block_count(kind: str) -> int:
-        name, _, count = take().partition(" ")
+        name, _, count = take(1)[0].partition(" ")
         if name != kind:
             raise ModelFormatError(f"expected {kind} block")
         if not (count.isascii() and count.isdigit()):
             raise ModelFormatError(f"bad {kind} count {count!r}")
         return int(count)
 
-    label_lines = [take() for _ in range(block_count("labels"))]
+    label_lines = take(block_count("labels"))
     try:
         labels = LabelSet(label_lines)
     except ValueError as exc:
         raise ModelFormatError(f"bad label block: {exc}") from None
     L = len(labels)
 
-    cat_line = take()
+    cat_line, lex_line = take(2)
     if not cat_line.startswith("catalogue "):
         raise ModelFormatError("expected catalogue fingerprint")
-    catalogue_fp = cat_line[len("catalogue "):]
-    lex_line = take()
     if not lex_line.startswith("lexicon "):
         raise ModelFormatError("expected lexicon fingerprint")
+    catalogue_fp = cat_line[len("catalogue "):]
     lexicon_fp = lex_line[len("lexicon "):]
 
-    def parse_weight(text: str, context: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ModelFormatError(f"bad weight {text!r} in {context}") from None
-        if not np.isfinite(value):
-            raise ModelFormatError(f"non-finite weight {text!r} in {context}")
-        return value
-
-    if take() != "transitions":
+    if take(1) != ["transitions"]:
         raise ModelFormatError("expected transition block")
-    trans = np.empty(L * L)
-    for yp in range(L):
-        for y in range(L):
-            cols = take().split("\t")
-            if len(cols) != 3:
-                raise ModelFormatError("malformed transition line")
-            if cols[0] != labels[yp] or cols[1] != labels[y]:
-                raise ModelFormatError("transition block out of order")
-            trans[yp * L + y] = parse_weight(cols[2], "transition block")
-
-    attributes: list[str] = []
-    state_weights: list[float] = []
-    for _ in range(block_count("states")):
-        for y in range(L):
-            cols = take().split("\t")
-            if len(cols) != 3:
-                raise ModelFormatError("malformed state line")
-            # every label line spells the attribute exactly as the first one
-            if y == 0:
-                raw, attr = cols[0], unescape_value(cols[0])
-            elif cols[0] != raw:
-                raise ModelFormatError("state block out of order")
-            if cols[1] != labels[y]:
-                raise ModelFormatError("state block out of order")
-            state_weights.append(parse_weight(cols[2], f"state block ({attr!r})"))
-        attributes.append(attr)
+    keys, trans = _read_grid(take(L * L), labels, "transition")
+    if keys != list(labels):
+        raise ModelFormatError("transition block out of order")
+    keys, state = _read_grid(take(block_count("states") * L), labels, "state")
     if pos != len(lines):
         raise ModelFormatError("trailing garbage after state block")
 
     try:
-        index = FeatureIndex(L, attributes)
+        index = FeatureIndex(L, list(map(unescape_value, keys)))
     except ValueError as exc:
         raise ModelFormatError(f"bad state block: {exc}") from None
-    weights = np.concatenate([trans, np.asarray(state_weights)]) if state_weights else trans
-    return Model(labels, index, weights, catalogue_fp, lexicon_fp)
+    return Model(labels, index, np.concatenate([trans, state]), catalogue_fp, lexicon_fp)

@@ -12,7 +12,7 @@ import hashlib
 import re
 import string
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .corpus import Sentence, Token
 
@@ -68,22 +68,6 @@ def unescape_value(value: str) -> str:
             out.append(c)
             i += 1
     return "".join(out)
-
-
-@dataclass(frozen=True)
-class AttributeSet:
-    """Ordered, duplicate-free attribute strings fired at one position."""
-
-    attrs: tuple[str, ...]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.attrs)
-
-    def __len__(self) -> int:
-        return len(self.attrs)
-
-    def __contains__(self, attr: str) -> bool:
-        return attr in self.attrs
 
 
 class NormalizationLexicon:
@@ -320,7 +304,7 @@ def extract_attributes(
     i: int,
     lexicon: NormalizationLexicon = EMPTY_LEXICON,
     catalogue: FeatureCatalogue = FeatureCatalogue(),
-) -> AttributeSet:
+) -> tuple[str, ...]:
     """Build the full attribute set for one token position.
 
     Families are emitted in a fixed order; the result is deterministic and
@@ -360,14 +344,14 @@ def extract_attributes(
 
     seen: set[str] = set()
     unique = [a for a in attrs if not (a in seen or seen.add(a))]
-    return AttributeSet(tuple(unique))
+    return tuple(unique)
 
 
 def extract_sentence_attributes(
     sentence: Sentence,
     lexicon: NormalizationLexicon = EMPTY_LEXICON,
     catalogue: FeatureCatalogue = FeatureCatalogue(),
-) -> list[AttributeSet]:
+) -> list[tuple[str, ...]]:
     return [
         extract_attributes(sentence, i, lexicon, catalogue)
         for i in range(len(sentence))

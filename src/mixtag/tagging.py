@@ -39,4 +39,4 @@ def tag_corpus(
     sentences = tuple(
         tag_sentence(model, sentence, lexicon, catalogue) for sentence in corpus
     )
-    return Corpus(sentences, corpus.meta)
+    return Corpus(sentences)

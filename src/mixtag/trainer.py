@@ -33,6 +33,9 @@ from .features import (
 )
 
 
+LBFGS_MEMORY = 10  # correction pairs L-BFGS-B keeps
+
+
 class TrainingError(RuntimeError):
     """Training could not produce a finite objective."""
 
@@ -43,7 +46,6 @@ class TrainConfig:
     l2_sigma2: float = 10.0
     max_iterations: int = 200
     tolerance: float = 1e-5
-    lbfgs_memory: int = 10
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -54,8 +56,6 @@ class TrainConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be >= 1")
 
 
 @dataclass
@@ -197,7 +197,7 @@ def train(
             callback=callback,
             options={
                 "maxiter": config.max_iterations,
-                "maxcor": config.lbfgs_memory,
+                "maxcor": LBFGS_MEMORY,
                 "ftol": config.tolerance,
                 "gtol": 1e-12,
             },

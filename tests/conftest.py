@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mixtag.corpus import Corpus, CorpusMeta, Sentence, Token
+from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import FeatureIndex, LabelSet, Lattice, Model
 
 
@@ -12,8 +12,8 @@ def make_sentence(*items) -> Sentence:
     return Sentence(tuple(Token(*item) for item in items))
 
 
-def make_corpus(*sentences, meta: CorpusMeta | None = None) -> Corpus:
-    return Corpus(tuple(sentences), meta or CorpusMeta())
+def make_corpus(*sentences) -> Corpus:
+    return Corpus(tuple(sentences))
 
 
 def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:

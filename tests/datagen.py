@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from mixtag.corpus import Corpus, CorpusMeta, Sentence, Token
+from mixtag.corpus import Corpus, Sentence, Token
 
 N_LABELS = 8
 
@@ -20,7 +20,7 @@ def separable_corpus(n_sentences: int, seed: int) -> Corpus:
             variant = rng.randrange(3)
             tokens.append(Token(f"w{k}v{variant}", "en", f"T{k}"))
         sentences.append(Sentence(tuple(tokens)))
-    return Corpus(tuple(sentences), CorpusMeta())
+    return Corpus(tuple(sentences))
 
 
 def cyclic_ambiguous_corpus(
@@ -48,15 +48,14 @@ def cyclic_ambiguous_corpus(
                 label = rng.choice([y for y in range(N_LABELS) if y != k])
             tokens.append(Token(surface, "en", f"T{label}"))
         sentences.append(Sentence(tuple(tokens)))
-    return Corpus(tuple(sentences), CorpusMeta())
+    return Corpus(tuple(sentences))
 
 
 def strip_labels(corpus: Corpus) -> Corpus:
     return Corpus(
         tuple(
             Sentence(tuple(Token(t.surface, t.lang) for t in s)) for s in corpus
-        ),
-        corpus.meta,
+        )
     )
 
 

@@ -6,7 +6,6 @@ from mixtag.corpus import (
     TRAIN3COL,
     Corpus,
     CorpusError,
-    CorpusMeta,
     Sentence,
     Token,
     merge_corpora,
@@ -67,38 +66,15 @@ class TestParse:
 
 class TestMerge:
     def test_counts_add_up(self):
-        fb = make_corpus(
-            *[make_sentence(("w", "bn", "X"))] * 148,
-            meta=CorpusMeta("facebook", "coarse", "bn-en"),
-        )
-        tw = make_corpus(
-            *[make_sentence(("w", "bn", "X"))] * 173,
-            meta=CorpusMeta("twitter", "coarse", "bn-en"),
-        )
-        wa = make_corpus(
-            *[make_sentence(("w", "bn", "X"))] * 305,
-            meta=CorpusMeta("whatsapp", "coarse", "bn-en"),
-        )
+        fb = make_corpus(*[make_sentence(("w", "bn", "X"))] * 148)
+        tw = make_corpus(*[make_sentence(("w", "bn", "X"))] * 173)
+        wa = make_corpus(*[make_sentence(("w", "bn", "X"))] * 305)
         merged = merge_corpora([fb, tw, wa])
         assert len(merged) == 626
-        assert merged.meta.source == "mixed"
-        assert merged.meta.granularity == "coarse"
-        assert merged.meta.pair == "bn-en"
 
     def test_single_corpus_identity(self):
         c = make_corpus(make_sentence(("w", "bn", "X")))
         assert merge_corpora([c]) == c
-
-    def test_conflicting_granularities(self):
-        coarse = make_corpus(make_sentence(("w", "bn", "X")), meta=CorpusMeta(granularity="coarse"))
-        fine = make_corpus(make_sentence(("w", "bn", "X")), meta=CorpusMeta(granularity="fine"))
-        with pytest.raises(CorpusError, match="granularit"):
-            merge_corpora([coarse, fine])
-
-    def test_unknown_granularity_defers_to_known(self):
-        coarse = make_corpus(make_sentence(("w", "bn", "X")), meta=CorpusMeta(granularity="coarse"))
-        unk = make_corpus(make_sentence(("w", "bn", "X")))
-        assert merge_corpora([coarse, unk]).meta.granularity == "coarse"
 
     def test_empty_list(self):
         with pytest.raises(CorpusError):

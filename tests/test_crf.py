@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixtag.crf import (
     _forward_backward,
@@ -20,14 +21,21 @@ from mixtag.crf import (
     viterbi,
     viterbi_lattice,
 )
-from mixtag.features import AttributeSet
 
 import oracles
 from conftest import model_from_lattice
 
 
 def aset(*attrs):
-    return AttributeSet(tuple(attrs))
+    return tuple(attrs)
+
+
+SMALL_MODEL = save_model(
+    Model(LabelSet(["N", "V"]), FeatureIndex(2, ["W0=a\\b", "W0=k1"]),
+          np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0]))
+)
+# bytes that can shift fields and lines or break a number
+EDIT_BYTES = st.sampled_from(list(b"\t\n\\\r0123456789e+-_.\x00\xffNV"))
 
 
 class TestLabelSet:
@@ -68,8 +76,11 @@ class TestFeatureIndex:
     def test_dense_transitions(self):
         labels = LabelSet(["A", "B", "C"])
         idx = index_features([[aset("x")]], labels)
-        slots = {idx.transition_slot(a, b) for a in range(3) for b in range(3)}
-        assert slots == set(range(9))
+        # transition yp -> y sits in slot yp * L + y, below every state slot
+        slots = {yp * 3 + y for yp in range(3) for y in range(3)}
+        assert slots == set(range(idx.state_base("x")))
+        trans = build_lattice(Model(labels, idx, np.arange(idx.size)), [aset("x")]).trans
+        assert all(trans[yp, y] == yp * 3 + y for yp, y in np.ndindex(3, 3))
 
     def test_slots_contiguous(self):
         labels = LabelSet(["A", "B"])
@@ -384,6 +395,62 @@ class TestPersistence:
         assert data != save_model(model)
         with pytest.raises(ModelFormatError, match="state block"):
             load_model(data)
+
+    def test_transition_rows_swapped(self, rng):
+        # rows N and V trade places whole, each spelled consistently
+        lines = save_model(self._model(rng)).decode().split("\n")
+        i = lines.index("transitions") + 1
+        lines[i:i + 6] = lines[i + 3:i + 6] + lines[i:i + 3]
+        with pytest.raises(ModelFormatError, match="transition block out of order"):
+            load_model("\n".join(lines).encode())
+
+    def test_trailing_garbage(self, rng):
+        with pytest.raises(ModelFormatError, match="trailing"):
+            load_model(save_model(self._model(rng)) + b"x\n")
+
+    @pytest.mark.parametrize("header", ["transitions", "states 3"])
+    def test_tab_moved_to_next_line(self, rng, header):
+        # a line short one tab, then one with an extra tab: joined, the two
+        # lines read exactly as the original ones
+        lines = save_model(self._model(rng)).decode().split("\n")
+        i = lines.index(header) + 1
+        key, label, weight = lines[i].split("\t")
+        lines[i:i + 2] = [f"{key}\t{label}", f"{weight}\t{lines[i + 1]}"]
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load_model("\n".join(lines).encode())
+
+    @pytest.mark.parametrize(
+        "header, block", [("transitions", "transition block"), ("states 3", "state block")]
+    )
+    def test_non_numeric_weight(self, rng, header, block):
+        lines = save_model(self._model(rng)).decode().split("\n")
+        i = lines.index(header) + 2
+        lines[i] = lines[i].rpartition("\t")[0] + "\t1.5x"
+        with pytest.raises(ModelFormatError, match=f"bad weight.*{block}"):
+            load_model("\n".join(lines).encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(SMALL_MODEL)), EDIT_BYTES,
+                              st.sampled_from(["replace", "insert", "delete"])),
+                    min_size=1, max_size=3))
+    def test_byte_edits_load_or_raise_model_format_error(self, edits):
+        data = bytearray(SMALL_MODEL)
+        for pos, byte, op in edits:
+            pos = min(pos, len(data))
+            if op == "insert":
+                data.insert(pos, byte)
+            elif pos == len(data):
+                continue
+            elif op == "delete":
+                del data[pos]
+            else:
+                data[pos] = byte
+        try:
+            model = load_model(bytes(data))
+        except ModelFormatError:
+            return
+        saved = save_model(model)
+        assert save_model(load_model(saved)) == saved
 
     def test_escaped_attribute_round_trip(self):
         labels = LabelSet(["X"])

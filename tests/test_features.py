@@ -245,7 +245,7 @@ class TestExtract:
             "vowel_collapse", "normalization", "affixes",
         )
         s = make_sentence(("khub", "bn"))
-        assert extract_attributes(s, 0, catalogue=cat).attrs == ("LEN=L_4",)
+        assert extract_attributes(s, 0, catalogue=cat) == ("LEN=L_4",)
 
     def test_deterministic(self):
         s = make_sentence(("a", "bn"), ("bb", "en"))
@@ -264,7 +264,7 @@ class TestExtract:
     @given(words)
     def test_no_duplicates(self, w):
         s = make_sentence((w, "bn"))
-        attrs = extract_attributes(s, 0).attrs
+        attrs = extract_attributes(s, 0)
         assert len(attrs) == len(set(attrs))
 
 

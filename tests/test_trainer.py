@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixtag import trainer
-from mixtag.corpus import Corpus, CorpusMeta, Sentence, Token
+from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import Model, build_lattice, log_partition, sequence_score
 from mixtag.features import FeatureCatalogue, extract_sentence_attributes
 from mixtag.trainer import (
@@ -173,8 +173,7 @@ class TestTrain:
         stripped = Corpus(
             tuple(
                 Sentence(tuple(Token(t.surface, t.lang) for t in s)) for s in corpus
-            ),
-            corpus.meta,
+            )
         )
         tagged = tag_corpus(model, stripped, catalogue=LEAN)
         assert write_corpus(tagged, TRAIN3COL) == write_corpus(corpus, TRAIN3COL)
@@ -202,14 +201,6 @@ class TestTrain:
         m2, _ = train(toy_corpus(), catalogue=LEAN, config=config)
         assert np.array_equal(m1.weights, m2.weights)
 
-    def test_memory_size_converges_to_same_objective(self):
-        # tight tolerance so both runs converge all the way to the optimum
-        r1 = train(toy_corpus(), catalogue=LEAN,
-                   config=TrainConfig(max_iterations=500, lbfgs_memory=3, tolerance=1e-12))[1]
-        r2 = train(toy_corpus(), catalogue=LEAN,
-                   config=TrainConfig(max_iterations=500, lbfgs_memory=15, tolerance=1e-12))[1]
-        assert r1.final_objective == pytest.approx(r2.final_objective, rel=1e-6)
-
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             train(make_corpus())
@@ -227,7 +218,6 @@ class TestConfig:
             {"l2_sigma2": 0.0},
             {"max_iterations": -1},
             {"tolerance": 0.0},
-            {"lbfgs_memory": 0},
         ],
     )
     def test_invalid(self, kwargs):

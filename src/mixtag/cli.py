@@ -21,7 +21,6 @@ from .features import (
     load_lexicon,
 )
 from .tagging import tag_corpus
-from .trainer import TrainConfig, TrainingError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,6 +69,10 @@ def _catalogue_from_args(disabled: list[str]) -> FeatureCatalogue:
 
 
 def cmd_train(args) -> int:
+    # imported here: the trainer loads scipy.optimize, which only train uses,
+    # and loading it is a large share of every other command's start-up
+    from .trainer import TrainConfig, TrainingError, train
+
     lexicon = _load_lexicon_arg(args.lexicon)
     try:
         catalogue = _catalogue_from_args(args.disable_feature)
@@ -85,7 +88,11 @@ def cmd_train(args) -> int:
         max_iterations=args.max_iter,
         tolerance=args.tol,
     )
-    model, report = train(merged, lexicon, catalogue, config)
+    try:
+        model, report = train(merged, lexicon, catalogue, config)
+    except TrainingError as exc:
+        print(f"mixtag: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     Path(args.model).write_bytes(save_model(model))
     print(f"training sentences: {len(merged)}")
     print(f"training tokens: {merged.token_count()}")
@@ -215,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, LexiconError, EvaluationError, ModelFormatError, ValueError) as exc:
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

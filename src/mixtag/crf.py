@@ -88,31 +88,41 @@ class FeatureIndex:
         row = self._row.get(attribute)
         return None if row is None else self.n_labels * (self.n_labels + row)
 
-    def compile(self, attr_sets: Iterable[Iterable[str]]) -> sparse.csr_array:
+    def compile(self, attr_sets: Iterable[Sequence[str]]) -> sparse.csr_array:
         """Token x attribute CSR matrix with one row per attribute set.
 
         Each retained attribute puts a 1 in its row's column; unknown
         attributes are dropped, so a token without known attributes gets an
-        empty row and scores 0 for every label.
+        empty row and scores 0 for every label.  The sets are read once, in
+        one pass, so a caller may generate them instead of holding them all.
         """
-        attr_sets = list(attr_sets)
+        sizes: list[int] = []
+
+        def counted():
+            for attrs in attr_sets:
+                sizes.append(len(attrs))
+                yield attrs
+
         cols = np.fromiter(
-            map(self._row.get, chain.from_iterable(attr_sets), repeat(-1)), dtype=np.int64
+            map(self._row.get, chain.from_iterable(counted()), repeat(-1)), dtype=np.int64
         )
         known = cols >= 0
         # a token's row starts at the count of known attributes before it
-        starts = np.cumsum([0, *map(len, attr_sets)])
+        starts = np.cumsum([0, *sizes])
         indptr = np.concatenate(([0], np.cumsum(known)))[starts]
         return sparse.csr_array(
             (np.ones(indptr[-1]), cols[known], indptr),
-            shape=(len(attr_sets), len(self.attributes)),
+            shape=(len(sizes), len(self.attributes)),
         )
 
 
 def _state_scores(weights: np.ndarray, index: FeatureIndex, X: sparse.csr_array) -> np.ndarray:
-    """Per-token label scores X @ W_state, shape (tokens, L)."""
+    """Per-token label scores X @ W_state, shape (tokens, L), all finite."""
     L = index.n_labels
-    return X @ weights[L * L:].reshape(-1, L)
+    state = X @ weights[L * L:].reshape(-1, L)
+    if not np.all(np.isfinite(state)):
+        raise ValueError("non-finite lattice score")
+    return state
 
 
 @dataclass
@@ -195,34 +205,54 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
+def _pack(offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Time-major layout of a batch of sentences, shared by the recursions.
+
+    Sentence s covers the stacked token rows ``offsets[s]:offsets[s + 1]``.
+    The sentences are sorted once by length, longest first (a stable sort,
+    so the order is fixed), and packed time major: step t holds position t
+    of the ``active[t]`` sentences longer than t, in packed rows
+    ``start[t]:start[t] + active[t]``.  The sentences still running at step
+    t + 1 are a prefix of those at step t, so a short sentence costs no
+    padded work.  Packed row r is stacked row ``rows[r]`` and belongs to
+    sorted sentence ``slot[r]``, which is input sentence ``order[slot[r]]``.
+
+    Returns (order, active, start, rows, slot).
+    """
+    if len(offsets) == 2:
+        # one sentence (tag_sentence and the lattice API): the layout is the
+        # sentence itself, and the general steps below would cost as much as
+        # a short decode
+        T = int(offsets[1] - offsets[0])
+        zeros = np.zeros(T, dtype=np.int64)
+        return zeros[:1], zeros + 1, np.arange(T + 1), np.arange(offsets[0], offsets[1]), zeros
+    lengths = np.diff(offsets)
+    order = np.argsort(-lengths, kind="stable")
+    T = int(lengths[order[0]])
+    # active[t]: sentences longer than t
+    active = np.cumsum(np.bincount(lengths, minlength=T + 1)[::-1])[::-1][1:]
+    start = np.concatenate(([0], np.cumsum(active)))
+    step = np.repeat(np.arange(T), active)
+    slot = np.arange(len(step)) - start[step]
+    rows = offsets[order][slot] + step
+    return order, active, start, rows, slot
+
+
 def _forward_backward(
     state: np.ndarray, trans: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-space forward-backward over a batch of sentences at once.
 
     ``state`` stacks the tokens of all sentences, sentence s covering rows
-    ``offsets[s]:offsets[s + 1]``.  The sentences are sorted once by length,
-    longest first (a stable sort, so the order is fixed), and packed time
-    major: step t holds position t of the ``active[t]`` sentences longer
-    than t, in rows ``start[t]:start[t] + active[t]``.  Each step touches
-    only these rows, and the sentences still running at step t + 1 are a
-    prefix of them, so a short sentence costs no padded work.
+    ``offsets[s]:offsets[s + 1]``; the recursion steps through the
+    ``_pack`` layout.
 
     Returns node marginals (tokens, L) in the input row order, edge
     marginals (T_max - 1, L, L) in which edge[t, y_prev, y] sums
     P(y_t = y_prev, y_{t+1} = y | x) over the batch, and log Z per sentence.
     """
-    lengths = np.diff(offsets)
-    B, L = len(lengths), trans.shape[0]
-    order = np.argsort(-lengths, kind="stable")
-    T = int(lengths[order[0]])
-    # active[t]: sentences longer than t
-    active = np.cumsum(np.bincount(lengths, minlength=T + 1)[::-1])[::-1][1:]
-    start = np.concatenate(([0], np.cumsum(active)))
-    # packed row r is position step[r] of sorted sentence slot[r]
-    step = np.repeat(np.arange(T), active)
-    slot = np.arange(len(step)) - start[step]
-    rows = offsets[order][slot] + step
+    order, active, start, rows, slot = _pack(offsets)
+    B, L, T = len(order), trans.shape[0], len(active)
     score = state[rows]
 
     alpha = np.empty_like(score)
@@ -232,7 +262,8 @@ def _forward_backward(
         alpha[cur:cur + n] = score[cur:cur + n] + _logsumexp(
             alpha[prev:prev + n, :, None] + trans, axis=1
         )
-    log_z = _logsumexp(alpha[start[lengths[order] - 1] + np.arange(B)], axis=1)
+    last = start[np.diff(offsets)[order] - 1] + np.arange(B)  # each sentence's last row
+    log_z = _logsumexp(alpha[last], axis=1)
 
     beta = np.zeros_like(score)  # 0 at each sentence's last position
     edge = np.empty((T - 1, L, L))
@@ -250,6 +281,38 @@ def _forward_backward(
     sentence_log_z = np.empty(B)
     sentence_log_z[order] = log_z
     return node, edge, sentence_log_z
+
+
+def _viterbi(
+    state: np.ndarray, trans: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best label ids over a batch of sentences at once.
+
+    Same input and ``_pack`` layout as ``_forward_backward``.  A backward
+    pass computes best-suffix scores and a forward pass takes the first
+    argmax at each step, so ties resolve to the lexicographically least
+    path.  Returns the label id of every token, in the input row order, and
+    the unnormalized best-path score of every sentence.
+    """
+    order, active, start, rows, _ = _pack(offsets)
+    # plain ints: most decodes are one short sentence, where numpy scalar
+    # indexing is a visible share of each step
+    active, start = active.tolist(), start.tolist()
+    # best[r, y]: best score of the suffix from packed row r given label y there
+    best = state[rows]
+    for t in range(len(active) - 2, -1, -1):
+        n, cur, nxt = active[t + 1], start[t], start[t + 1]
+        best[cur:cur + n] += (trans + best[nxt:nxt + n, None, :]).max(axis=2)
+    path = np.empty(len(rows), dtype=np.int64)
+    path[: active[0]] = best[: active[0]].argmax(axis=1)
+    for t in range(1, len(active)):
+        n, prev, cur = active[t], start[t - 1], start[t]
+        path[cur:cur + n] = (trans[path[prev:prev + n]] + best[cur:cur + n]).argmax(axis=1)
+    label_ids = np.empty_like(path)
+    label_ids[rows] = path
+    scores = np.empty(len(order))
+    scores[order] = best[np.arange(active[0]), path[: active[0]]]
+    return label_ids, scores
 
 
 def log_partition(lattice: Lattice) -> float:
@@ -286,20 +349,10 @@ def sequence_score(lattice: Lattice, label_ids: Sequence[int]) -> float:
 def viterbi_lattice(lattice: Lattice) -> tuple[list[int], float]:
     """Best label-index sequence and its unnormalized score.
 
-    Decoding runs over best-suffix scores so ties resolve to the
-    lexicographically least index sequence.
+    Ties resolve to the lexicographically least index sequence.
     """
-    T, L = lattice.T, lattice.L
-    # best[t, y]: best score of the suffix starting at t given label y at t
-    best = np.empty((T, L))
-    best[T - 1] = lattice.state[T - 1]
-    for t in range(T - 2, -1, -1):
-        best[t] = lattice.state[t] + np.max(lattice.trans + best[t + 1][None, :], axis=1)
-    path = [int(np.argmax(best[0]))]
-    for t in range(1, T):
-        cont = lattice.trans[path[-1]] + best[t]
-        path.append(int(np.argmax(cont)))
-    return path, float(best[0][path[0]])
+    path, score = _viterbi(lattice.state, lattice.trans, np.array([0, lattice.T]))
+    return path.tolist(), float(score[0])
 
 
 def viterbi(model: Model, attrs: Sequence[tuple[str, ...]]) -> tuple[list[str], float]:

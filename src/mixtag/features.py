@@ -12,7 +12,7 @@ import hashlib
 import re
 import string
 from dataclasses import dataclass, fields, replace
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import Sentence, Token
 
@@ -266,31 +266,33 @@ def affixes(surface: str) -> tuple[str, str, str, str, str, str, str, str]:
     return prefixes + suffixes
 
 
-def _word_at(sentence: Sentence, i: int) -> str:
-    if i < 0:
-        return BEGIN_SENTINEL
-    if i >= len(sentence):
-        return END_SENTINEL
-    return sentence[i].surface
+def _padded_words(sentence: Sentence) -> list[str]:
+    """Escaped surfaces between two begin and two end sentinels."""
+    words = [escape_value(token.surface) for token in sentence]
+    return [BEGIN_SENTINEL] * 2 + words + [END_SENTINEL] * 2
+
+
+def _context(words: list[str], i: int) -> tuple[str, ...]:
+    """Context composites of position i from ``_padded_words``."""
+    m2, m1, w0, p1, p2 = words[i:i + 5]
+    return (
+        f"W-2={m2}",
+        f"W-1={m1}",
+        f"W0={w0}",
+        f"W+1={p1}",
+        f"W+2={p2}",
+        f"W-1W-2={m1}|{m2}",
+        f"W-1W0={m1}|{w0}",
+        f"W0W+1={w0}|{p1}",
+        f"W+1W+2={p1}|{p2}",
+    )
 
 
 def context_composites(sentence: Sentence, i: int) -> tuple[str, ...]:
     """Window-of-5 unigrams plus the four word-pair composites."""
     if not 0 <= i < len(sentence):
         raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
-    w = {off: _word_at(sentence, i + off) for off in (-2, -1, 0, 1, 2)}
-    e = escape_value
-    return (
-        f"W-2={e(w[-2])}",
-        f"W-1={e(w[-1])}",
-        f"W0={e(w[0])}",
-        f"W+1={e(w[1])}",
-        f"W+2={e(w[2])}",
-        f"W-1W-2={e(w[-1])}|{e(w[-2])}",
-        f"W-1W0={e(w[-1])}|{e(w[0])}",
-        f"W0W+1={e(w[0])}|{e(w[1])}",
-        f"W+1W+2={e(w[1])}|{e(w[2])}",
-    )
+    return _context(_padded_words(sentence), i)
 
 
 def language_composite(token: Token) -> tuple[str, str]:
@@ -299,26 +301,14 @@ def language_composite(token: Token) -> tuple[str, str]:
     return (f"LANG={e(token.lang)}", f"LANGW={e(token.lang)}|{e(token.surface)}")
 
 
-def extract_attributes(
-    sentence: Sentence,
-    i: int,
-    lexicon: NormalizationLexicon = EMPTY_LEXICON,
-    catalogue: FeatureCatalogue = FeatureCatalogue(),
+def _token_attributes(
+    token: Token, lexicon: NormalizationLexicon, catalogue: FeatureCatalogue
 ) -> tuple[str, ...]:
-    """Build the full attribute set for one token position.
-
-    Families are emitted in a fixed order; the result is deterministic and
-    duplicate-free.
-    """
-    if not 0 <= i < len(sentence):
-        raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
-    token = sentence[i]
+    """The token-local families, LANG through S4: a function of the surface
+    and language tag alone."""
     surface = token.surface
     e = escape_value
-
     attrs: list[str] = []
-    if catalogue.context:
-        attrs.extend(context_composites(sentence, i))
     if catalogue.language:
         attrs.extend(language_composite(token))
     if catalogue.ortho:
@@ -341,10 +331,48 @@ def extract_attributes(
                 f"S1={e(s1)}", f"S2={e(s2)}", f"S3={e(s3)}", f"S4={e(s4)}",
             )
         )
+    return tuple(attrs)
 
-    seen: set[str] = set()
-    unique = [a for a in attrs if not (a in seen or seen.add(a))]
-    return tuple(unique)
+
+def extract_attributes(
+    sentence: Sentence,
+    i: int,
+    lexicon: NormalizationLexicon = EMPTY_LEXICON,
+    catalogue: FeatureCatalogue = FeatureCatalogue(),
+) -> tuple[str, ...]:
+    """Build the full attribute set for one token position.
+
+    Families are emitted in a fixed order, the context composites first;
+    every family has its own ``NAME=`` prefix, so the result is
+    deterministic and duplicate-free.
+    """
+    if not 0 <= i < len(sentence):
+        raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
+    context = context_composites(sentence, i) if catalogue.context else ()
+    return context + _token_attributes(sentence[i], lexicon, catalogue)
+
+
+def extract_corpus_attributes(
+    sentences: Iterable[Sentence],
+    lexicon: NormalizationLexicon = EMPTY_LEXICON,
+    catalogue: FeatureCatalogue = FeatureCatalogue(),
+) -> Iterator[list[tuple[str, ...]]]:
+    """Yield ``extract_attributes`` at every position, one list per sentence.
+
+    The token-local families are built once per distinct (surface, language)
+    pair in the call, and each sentence's words are escaped once.
+    """
+    memo: dict[tuple[str, str], tuple[str, ...]] = {}
+    for sentence in sentences:
+        words = _padded_words(sentence) if catalogue.context else []
+        attrs = []
+        for i, token in enumerate(sentence):
+            key = (token.surface, token.lang)
+            local = memo.get(key)
+            if local is None:
+                local = memo[key] = _token_attributes(token, lexicon, catalogue)
+            attrs.append(_context(words, i) + local if catalogue.context else local)
+        yield attrs
 
 
 def extract_sentence_attributes(
@@ -352,7 +380,4 @@ def extract_sentence_attributes(
     lexicon: NormalizationLexicon = EMPTY_LEXICON,
     catalogue: FeatureCatalogue = FeatureCatalogue(),
 ) -> list[tuple[str, ...]]:
-    return [
-        extract_attributes(sentence, i, lexicon, catalogue)
-        for i in range(len(sentence))
-    ]
+    return next(extract_corpus_attributes([sentence], lexicon, catalogue))

@@ -13,8 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize
+from scipy import optimize, sparse
 
 from .corpus import Corpus
 from .crf import (
@@ -29,7 +28,7 @@ from .features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
     NormalizationLexicon,
-    extract_sentence_attributes,
+    extract_corpus_attributes,
 )
 
 
@@ -109,10 +108,7 @@ def index_corpus(
     labels = LabelSet(sorted(label_strings))
     L = len(labels)
 
-    all_attrs = [
-        extract_sentence_attributes(sentence, lexicon, catalogue)
-        for sentence in corpus
-    ]
+    all_attrs = list(extract_corpus_attributes(corpus, lexicon, catalogue))
     index = index_features(all_attrs, labels, cutoff)
     X = index.compile(attrs for sentence_attrs in all_attrs for attrs in sentence_attrs)
     label_ids = np.array(
@@ -143,7 +139,7 @@ def objective_and_gradient(
     weights = np.asarray(weights, dtype=np.float64)
     trans = weights[: L * L].reshape(L, L)
     state = _state_scores(weights, corpus.index, corpus.X)
-    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
+    if not np.all(np.isfinite(trans)):
         raise ValueError("non-finite lattice score")
     node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
 
@@ -189,7 +185,7 @@ def train(
             value, grad = fun(w)
             report.history.append((value, float(np.linalg.norm(grad))))
 
-        result = minimize(
+        result = optimize.minimize(
             fun,
             weights,
             jac=True,

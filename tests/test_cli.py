@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mixtag
 from mixtag.cli import main
 from mixtag.corpus import TRAIN3COL, TEST2COL, parse_corpus, write_corpus
 
@@ -62,6 +68,21 @@ class TestTrain:
         from mixtag.crf import load_model
 
         assert np.all(load_model(model.read_bytes()).weights == 0)
+
+    def test_training_error_is_numeric_failure(self, workdir, capsys, monkeypatch):
+        from mixtag import trainer
+
+        def diverge(*args, **kwargs):
+            raise trainer.TrainingError("objective became non-finite")
+
+        monkeypatch.setattr(trainer, "train", diverge)
+        model = workdir / "model.txt"
+        code, _, err = run(
+            ["train", "--train", str(workdir / "train.txt"), "--model", str(model)], capsys
+        )
+        assert code == 3
+        assert "objective became non-finite" in err
+        assert not model.exists()
 
     def test_missing_train_flag_is_usage_error(self, workdir, capsys):
         code, _, err = run(["train", "--model", str(workdir / "m.txt")], capsys)
@@ -287,3 +308,25 @@ class TestDeterminism:
             )[0] == 0
             outputs.append((model.read_bytes(), tagged.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestImports:
+    def test_cli_import_skips_optimizer(self):
+        # scipy.optimize costs every process about 0.2 s; only train needs it
+        src = str(Path(mixtag.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, mixtag.cli; print('scipy.optimize' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_package_exposes_trainer_names(self):
+        from mixtag import trainer
+
+        for name in ("IndexedCorpus", "TrainConfig", "TrainingError", "TrainReport",
+                     "index_corpus", "objective_and_gradient", "train"):
+            assert getattr(mixtag, name) is getattr(trainer, name)
+        with pytest.raises(AttributeError):
+            mixtag.no_such_name

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixtag.crf import (
     _forward_backward,
+    _viterbi,
     FeatureIndex,
     LabelSet,
     Lattice,
@@ -312,6 +313,38 @@ class TestViterbi:
         lat = Lattice(state, trans)
         path, score = viterbi_lattice(lat)
         assert sequence_score(lat, path) == pytest.approx(score, rel=1e-12)
+
+
+class TestBatchedViterbi:
+    """The one Viterbi recursion run over many sentences at once."""
+
+    @given(
+        lengths=st.lists(st.integers(1, 5), min_size=1, max_size=7),
+        L=st.integers(1, 3),
+        integer_scores=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ragged_unsorted_batch_matches_brute_force(self, lengths, L, integer_scores, seed):
+        rng = np.random.default_rng(seed)
+        if integer_scores:
+            # a tiny integer grid forces plenty of exact ties
+            lattices = [
+                (rng.integers(0, 2, size=(T, L)).astype(float),
+                 rng.integers(0, 2, size=(L, L)).astype(float))
+                for T in lengths
+            ]
+        else:
+            lattices = [oracles.random_dyadic_lattice(rng, T, L) for T in lengths]
+        trans = lattices[0][1]
+        state = np.concatenate([s for s, _ in lattices])
+        offsets = np.cumsum([0, *lengths])
+        label_ids, scores = _viterbi(state, trans, offsets)
+        assert label_ids.shape == (sum(lengths),) and scores.shape == (len(lengths),)
+        for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            # exact sums on both grids: the least argmax path and its score
+            path, best = oracles.brute_viterbi(state[a:b], trans)
+            assert label_ids[a:b].tolist() == path
+            assert scores[s] == best
 
 
 class TestPersistence:

@@ -5,11 +5,13 @@ from mixtag.features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
     LexiconError,
+    NormalizationLexicon,
     affixes,
     collapse_vowel_runs,
     context_composites,
     escape_value,
     extract_attributes,
+    extract_corpus_attributes,
     language_composite,
     length_bucket,
     load_lexicon,
@@ -20,7 +22,13 @@ from mixtag.features import (
 )
 from mixtag.corpus import Token
 
+import datagen
 from conftest import make_sentence
+
+# the default catalogue and every catalogue with one family disabled
+ONE_OFF_CATALOGUES = [FeatureCatalogue()] + [
+    FeatureCatalogue().without(name) for name in FeatureCatalogue.family_names()
+]
 
 words = st.text(
     st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)),
@@ -263,9 +271,32 @@ class TestExtract:
 
     @given(words)
     def test_no_duplicates(self, w):
-        s = make_sentence((w, "bn"))
-        attrs = extract_attributes(s, 0)
-        assert len(attrs) == len(set(attrs))
+        sentences = [
+            make_sentence((w, "bn")),
+            *datagen.cyclic_ambiguous_corpus(3, seed=1),
+        ]
+        lexicon = NormalizationLexicon({w: "norm", "a1": "u1"})
+        for catalogue in ONE_OFF_CATALOGUES:
+            for lex in (EMPTY_LEXICON, lexicon):
+                for sentence in sentences:
+                    for i in range(len(sentence)):
+                        attrs = extract_attributes(sentence, i, lex, catalogue)
+                        assert len(attrs) == len(set(attrs))
+
+    @pytest.mark.parametrize("catalogue", ONE_OFF_CATALOGUES, ids=FeatureCatalogue.fingerprint)
+    def test_corpus_extraction_equals_per_position(self, catalogue):
+        # repeated surfaces, "a1" under two language tags, escaped characters
+        sentences = [
+            *datagen.cyclic_ambiguous_corpus(6, seed=2),
+            make_sentence(("a1", "bn"), ("x\\y", "en"), ("a1", "en"), ("a1", "bn")),
+            make_sentence(("x\\y", "en"),),
+        ]
+        lexicon = load_lexicon("a1\tu1\nx\\y\tz\n")
+        got = list(extract_corpus_attributes(sentences, lexicon, catalogue))
+        assert got == [
+            [extract_attributes(s, i, lexicon, catalogue) for i in range(len(s))]
+            for s in sentences
+        ]
 
 
 class TestEscaping:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mixtag import trainer
 from mixtag.corpus import Corpus, Sentence, Token
@@ -136,14 +137,14 @@ class TestFinalObjective:
     def test_no_evaluation_after_optimizer(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
         calls_when_optimizer_returned = []
-        minimize = trainer.minimize
+        minimize = scipy.optimize.minimize
 
         def recorded(*args, **kwargs):
             result = minimize(*args, **kwargs)
             calls_when_optimizer_returned.append(len(calls))
             return result
 
-        monkeypatch.setattr(trainer, "minimize", recorded)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
         config = TrainConfig(max_iterations=8)
         model, report = train(toy_corpus(), catalogue=LEAN, config=config)
         assert calls_when_optimizer_returned == [len(calls)]

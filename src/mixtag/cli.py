@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .corpus import CorpusError, merge_corpora, parse_corpus, write_corpus
+from .corpus import CorpusError, decode_text, merge_corpora, parse_corpus, write_corpus
 from .crf import ModelFormatError, load_model, save_model
 from .evaluation import EvaluationError, evaluate, format_score, render_report
 from .features import (
@@ -38,11 +38,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, error=CorpusError) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+    return decode_text(data, error)
 
 
 def _parse_file(path: str, schema: str):
@@ -56,7 +57,7 @@ def _load_lexicon_arg(path: str | None):
     if path is None:
         return EMPTY_LEXICON
     try:
-        return load_lexicon(_read_text(path))
+        return load_lexicon(_read_text(path, LexiconError))
     except LexiconError as exc:
         raise LexiconError(f"{path}: {exc}") from None
 
@@ -105,12 +106,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_tag(args) -> int:
+def _load_model_arg(path: str):
     try:
-        model = load_model(Path(args.model).read_bytes())
+        return load_model(Path(path).read_bytes())
     except OSError as exc:
-        raise CorpusError(f"{args.model}: {exc.strerror or exc}") from None
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+
+
+def cmd_tag(args) -> int:
+    model = _load_model_arg(args.model)
     source = _parse_file(args.input, corpus_mod.TEST2COL)
+    # the model's own lexicon and catalogue
     tagged = tag_corpus(model, source)
     Path(args.output).write_text(
         write_corpus(tagged, corpus_mod.TRAIN3COL), encoding="utf-8"
@@ -138,7 +144,10 @@ def _parse_position(text: str) -> tuple[int, int]:
 
 
 def cmd_features(args) -> int:
-    lexicon = _load_lexicon_arg(args.lexicon)
+    if args.model is not None:
+        lexicon, catalogue = _load_model_arg(args.model).features()
+    else:
+        lexicon, catalogue = _load_lexicon_arg(args.lexicon), FeatureCatalogue()
     text = _read_text(args.input)
     try:
         corpus = parse_corpus(text, corpus_mod.TRAIN3COL)
@@ -160,7 +169,7 @@ def cmd_features(args) -> int:
     for s, t in targets:
         sentence = corpus.sentences[s]
         print(f"# sentence {s} token {t}: {sentence[t].surface}")
-        for attr in extract_attributes(sentence, t, lexicon):
+        for attr in extract_attributes(sentence, t, lexicon, catalogue):
             print(attr)
     return EXIT_OK
 
@@ -198,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="print extracted attributes per token")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--lexicon", metavar="FILE")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--lexicon", metavar="FILE")
+    source.add_argument("--model", metavar="FILE",
+                        help="extract with this model's own lexicon and catalogue")
     p.add_argument("--position", metavar="S:T",
                    help="restrict output to sentence S, token T")
     p.set_defaults(func=cmd_features)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 TRAIN3COL = "train3col"
 TEST2COL = "test2col"
@@ -74,6 +74,15 @@ class Corpus:
 
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
+
+
+def decode_text(data: bytes, error: Callable[..., ValueError] = CorpusError) -> str:
+    """A file's bytes as UTF-8 text; bad UTF-8 raises ``error(message, line=n)``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"not UTF-8: {exc.reason} at byte {exc.start}", line=line) from None
 
 
 def _check_schema(schema: str) -> int:
@@ -150,4 +159,7 @@ def write_corpus(corpus: Corpus, schema: str) -> str:
             else:
                 lines.append(f"{token.surface}\t{token.lang}")
         blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks)
+    text = "\n".join(blocks)
+    # parse_corpus strips one leading byte-order mark, so a first surface
+    # that starts with U+FEFF is written behind a mark of its own
+    return "\ufeff" + text if text.startswith("\ufeff") else text

@@ -10,18 +10,26 @@ state features only).
 
 from __future__ import annotations
 
+import base64
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .features import escape_value, unescape_value
+from .features import (
+    EMPTY_LEXICON,
+    FeatureCatalogue,
+    LexiconError,
+    NormalizationLexicon,
+    escape_value,
+    unescape_value,
+)
 
 MODEL_MAGIC = "MIXTAG-MODEL"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # written; version 1 still loads
 
 
 class ModelFormatError(ValueError):
@@ -127,11 +135,20 @@ def _state_scores(weights: np.ndarray, index: FeatureIndex, X: sparse.csr_array)
 
 @dataclass
 class Model:
+    """Weights plus the features they were trained on.
+
+    A model is applied with its own catalogue and lexicon.  ``lexicon`` is
+    None only for a v1 file trained with a lexicon: v1 kept just the
+    lexicon's fingerprint, which ``v1_lexicon_fingerprint`` then holds.
+    Exactly one of the two is set.
+    """
+
     labels: LabelSet
     index: FeatureIndex
     weights: np.ndarray
-    catalogue_fingerprint: str = "all"
-    lexicon_fingerprint: str = "empty"
+    catalogue: FeatureCatalogue = FeatureCatalogue()
+    lexicon: NormalizationLexicon | None = EMPTY_LEXICON
+    v1_lexicon_fingerprint: str | None = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -142,6 +159,47 @@ class Model:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite weight")
+        if (self.lexicon is None) == (self.v1_lexicon_fingerprint is None):
+            raise ValueError("a model needs exactly one of its lexicon and a v1 lexicon fingerprint")
+
+    @property
+    def lexicon_fingerprint(self) -> str:
+        if self.lexicon is None:
+            return self.v1_lexicon_fingerprint
+        return self.lexicon.fingerprint()
+
+    @property
+    def catalogue_fingerprint(self) -> str:
+        return self.catalogue.fingerprint()
+
+    def features(
+        self,
+        lexicon: NormalizationLexicon | None = None,
+        catalogue: FeatureCatalogue | None = None,
+    ) -> tuple[NormalizationLexicon, FeatureCatalogue]:
+        """The lexicon and catalogue to extract with: the model's own where
+        an argument is None.  An explicit one must match the model's."""
+        if catalogue is None:
+            catalogue = self.catalogue
+        elif catalogue != self.catalogue:
+            raise ValueError(
+                f"catalogue {catalogue.fingerprint()} does not match the model's "
+                f"{self.catalogue_fingerprint}"
+            )
+        if lexicon is None:
+            if self.lexicon is None:
+                raise ValueError(
+                    "this v1 model file does not store its lexicon (fingerprint "
+                    f"{self.lexicon_fingerprint}); retrain it, or tag through the "
+                    "library with the training lexicon"
+                )
+            lexicon = self.lexicon
+        elif lexicon.fingerprint() != self.lexicon_fingerprint:
+            raise ValueError(
+                f"lexicon {lexicon.fingerprint()} does not match the model's "
+                f"{self.lexicon_fingerprint}"
+            )
+        return lexicon, catalogue
 
 
 @dataclass
@@ -361,25 +419,12 @@ def viterbi(model: Model, attrs: Sequence[tuple[str, ...]]) -> tuple[list[str], 
     return [model.labels[y] for y in path], score
 
 
-def _grid_lines(keys: Iterable[str], labels: LabelSet, weights: np.ndarray) -> Iterator[str]:
-    """One ``key<TAB>label<TAB>weight`` line per weight, L lines per key.
-
-    The weights are taken in order: key k's labels hold ``weights[k*L:(k+1)*L]``.
-    """
-    L = len(labels)
-    # one float at a time: a whole-block weights.tolist() raises peak RSS
-    return map(
-        "{}\t{}\t{:.17g}".format,
-        chain.from_iterable(map(repeat, keys, repeat(L))),
-        cycle(labels),
-        map(float, weights),
-    )
-
-
 def _read_grid(lines: list[str], labels: LabelSet, block: str) -> tuple[list[str], np.ndarray]:
-    """Keys, as spelled in the file, and weights of a ``_grid_lines`` block.
+    """Keys, as spelled in the file, and weights of a v1 weight block.
 
-    Each key's L lines must name the labels in order and spell the key alike.
+    A block has one ``key<TAB>label<TAB>weight`` line per weight, L lines per
+    key; each key's L lines must name the labels in order and spell the key
+    alike.
     """
     # checked before any joining, where a line short one tab followed by a
     # line with one extra tab would realign
@@ -408,82 +453,167 @@ def _read_grid(lines: list[str], labels: LabelSet, block: str) -> tuple[list[str
     return keys, weights
 
 
+def _unescape_lines(lines: list[str], what: str) -> list[str]:
+    """The values of escaped lines, each spelled as ``escape_value`` spells it."""
+    values = lines.copy()
+    # escape_value leaves any other line as it is
+    for i in [i for i, line in enumerate(lines) if "\\" in line or "\t" in line]:
+        values[i] = unescape_value(lines[i])
+        if escape_value(values[i]) != lines[i]:
+            raise ModelFormatError(f"non-canonical escape in {what} line {lines[i]!r}")
+    return values
+
+
+def _strictly_sorted(values: Sequence[str]) -> bool:
+    return all(map(str.__lt__, values, values[1:]))
+
+
 def save_model(model: Model) -> bytes:
-    """Serialize to the line-oriented text format, round-trip exact."""
+    """Serialize to format v2, the one spelling ``load_model`` accepts."""
+    if model.lexicon is None:
+        raise ValueError("a v1 model without its lexicon cannot be saved")
     labels, L = model.labels, len(model.labels)
-    attributes = model.index.attributes
+    attributes, weights = model.index.attributes, model.weights
+    if not _strictly_sorted(attributes):
+        # an index built by hand may be unsorted; the file has one row order
+        order = sorted(range(len(attributes)), key=attributes.__getitem__)
+        attributes = [attributes[i] for i in order]
+        weights = np.concatenate([weights[: L * L], weights[L * L:].reshape(-1, L)[order].ravel()])
+    lexicon = model.lexicon.sorted_items()
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"labels {L}",
         *labels,
         f"catalogue {model.catalogue_fingerprint}",
-        f"lexicon {model.lexicon_fingerprint}",
-        "transitions",
-        *_grid_lines(labels, labels, model.weights[: L * L]),
-        f"states {len(attributes)}",
-        *_grid_lines(map(escape_value, attributes), labels, model.weights[L * L:]),
+        f"lexicon {len(lexicon)}",
+        *(f"{escape_value(short)}\t{escape_value(word)}" for short, word in lexicon),
+        f"attributes {len(attributes)}",
+        *map(escape_value, attributes),
+        "weights",
+        base64.b64encode(weights.astype("<f8").tobytes()).decode("ascii"),
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def load_model(data: bytes) -> Model:
-    """Parse bytes produced by save_model; validates header and weights."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model file is not UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    pos = 0
+class _Lines:
+    """A model file's lines, taken front to back."""
 
-    def take(n: int) -> list[str]:
-        nonlocal pos
-        if pos + n > len(lines):
+    def __init__(self, text: str):
+        self.lines = text.split("\n")
+        if self.lines[-1] == "":
+            self.lines.pop()
+        self.pos = 0
+
+    def take(self, n: int) -> list[str]:
+        if self.pos + n > len(self.lines):
             raise ModelFormatError("truncated model file")
-        pos += n
-        return lines[pos - n:pos]
+        self.pos += n
+        return self.lines[self.pos - n:self.pos]
 
-    header = take(1)[0].split(" ")
-    if len(header) != 2 or header[0] != MODEL_MAGIC:
-        raise ModelFormatError("not a model file (bad magic)")
-    if header[1] != str(MODEL_VERSION):
-        raise ModelFormatError(f"unsupported model version {header[1]!r}")
+    def expect(self, line: str) -> None:
+        if self.take(1) != [line]:
+            raise ModelFormatError(f"expected {line} block")
 
-    def block_count(kind: str) -> int:
-        name, _, count = take(1)[0].partition(" ")
-        if name != kind:
-            raise ModelFormatError(f"expected {kind} block")
-        if not (count.isascii() and count.isdigit()):
-            raise ModelFormatError(f"bad {kind} count {count!r}")
+    def value(self, name: str) -> str:
+        """The text after ``name`` on a ``name <value>`` line."""
+        key, _, value = self.take(1)[0].partition(" ")
+        if key != name:
+            raise ModelFormatError(f"expected {name} line")
+        return value
+
+    def count(self, name: str) -> int:
+        """The count on a ``name <count>`` line, spelled in plain decimal."""
+        count = self.value(name)
+        if not (count.isascii() and count.isdigit() and str(int(count)) == count):
+            raise ModelFormatError(f"bad {name} count {count!r}")
         return int(count)
 
-    label_lines = take(block_count("labels"))
-    try:
-        labels = LabelSet(label_lines)
-    except ValueError as exc:
-        raise ModelFormatError(f"bad label block: {exc}") from None
-    L = len(labels)
 
-    cat_line, lex_line = take(2)
-    if not cat_line.startswith("catalogue "):
-        raise ModelFormatError("expected catalogue fingerprint")
-    if not lex_line.startswith("lexicon "):
-        raise ModelFormatError("expected lexicon fingerprint")
-    catalogue_fp = cat_line[len("catalogue "):]
-    lexicon_fp = lex_line[len("lexicon "):]
-
-    if take(1) != ["transitions"]:
-        raise ModelFormatError("expected transition block")
-    keys, trans = _read_grid(take(L * L), labels, "transition")
+def _read_v1_body(lines: _Lines, labels: LabelSet):
+    """Lexicon or, if v1 did not store it, its fingerprint; attributes and
+    weights of a v1 file."""
+    lexicon, fingerprint = None, lines.value("lexicon")
+    if fingerprint == "empty":
+        lexicon, fingerprint = EMPTY_LEXICON, None
+    elif not (len(fingerprint) == 16 and set(fingerprint) <= set("0123456789abcdef")):
+        raise ModelFormatError(f"bad lexicon fingerprint {fingerprint!r}")
+    lines.expect("transitions")
+    keys, trans = _read_grid(lines.take(len(labels) ** 2), labels, "transition")
     if keys != list(labels):
         raise ModelFormatError("transition block out of order")
-    keys, state = _read_grid(take(block_count("states") * L), labels, "state")
-    if pos != len(lines):
-        raise ModelFormatError("trailing garbage after state block")
+    keys, state = _read_grid(lines.take(lines.count("states") * len(labels)), labels, "state")
+    return lexicon, fingerprint, list(map(unescape_value, keys)), np.concatenate([trans, state])
+
+
+def _read_v2_body(lines: _Lines, labels: LabelSet):
+    """Lexicon, attributes and weights of a v2 file, each in its one spelling."""
+    pairs = [line.split("\t") for line in lines.take(lines.count("lexicon"))]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ModelFormatError("malformed lexicon line")
+    shorts = _unescape_lines([short for short, _ in pairs], "lexicon")
+    words = _unescape_lines([word for _, word in pairs], "lexicon")
+    if not _strictly_sorted(shorts):
+        raise ModelFormatError("lexicon entries not strictly sorted")
+    try:
+        lexicon = NormalizationLexicon(dict(zip(shorts, words)))
+    except LexiconError as exc:
+        raise ModelFormatError(f"bad lexicon block: {exc}") from None
+
+    attributes = _unescape_lines(lines.take(lines.count("attributes")), "attribute")
+    if not _strictly_sorted(attributes):
+        raise ModelFormatError("attributes not strictly sorted")
+
+    lines.expect("weights")
+    encoded = lines.take(1)[0]
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII line
+        raise ModelFormatError(f"bad weights line: {exc}") from None
+    # decoding ignores the unused low bits of the last digit; encoding zeroes them
+    if base64.b64encode(raw) != encoded.encode("ascii"):
+        raise ModelFormatError("non-canonical weights line")
+    expected = len(labels) * (len(labels) + len(attributes))
+    if len(raw) != 8 * expected:
+        raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {expected}")
+    return lexicon, None, attributes, np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def load_model(data: bytes) -> Model:
+    """Parse a model file, v2 or v1; anything else raises ModelFormatError.
+
+    A v2 file loads only in the spelling ``save_model`` writes, so
+    ``save_model(load_model(b)) == b``.
+    """
+    try:
+        lines = _Lines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8: {exc}") from None
+    header = lines.take(1)[0].split(" ")
+    if len(header) != 2 or header[0] != MODEL_MAGIC:
+        raise ModelFormatError("not a model file (bad magic)")
+    if header[1] not in ("1", "2"):
+        raise ModelFormatError(f"unsupported model version {header[1]!r}")
+    v1 = header[1] == "1"
+    if not (v1 or data.endswith(b"\n")):
+        raise ModelFormatError("model file does not end with a newline")
 
     try:
-        index = FeatureIndex(L, list(map(unescape_value, keys)))
+        labels = LabelSet(lines.take(lines.count("labels")))
+    except ValueError as exc:
+        raise ModelFormatError(f"bad label block: {exc}") from None
+    try:
+        catalogue = FeatureCatalogue.from_fingerprint(lines.value("catalogue"))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    lexicon, fingerprint, attributes, weights = (_read_v1_body if v1 else _read_v2_body)(lines, labels)
+    if lines.pos != len(lines.lines):
+        raise ModelFormatError(f"trailing garbage after {'state' if v1 else 'weights'} block")
+
+    try:
+        index = FeatureIndex(len(labels), attributes)
     except ValueError as exc:
         raise ModelFormatError(f"bad state block: {exc}") from None
-    return Model(labels, index, np.concatenate([trans, state]), catalogue_fp, lexicon_fp)
+    try:
+        return Model(labels, index, weights, catalogue, lexicon, fingerprint)
+    except ValueError as exc:  # a non-finite v2 weight
+        raise ModelFormatError(f"bad weights block: {exc}") from None

@@ -81,6 +81,9 @@ class NormalizationLexicon:
             if "\t" in key or "\t" in value:
                 raise LexiconError("lexicon entries must not contain tabs")
         self._entries = entries
+        self._fingerprint = "empty" if not entries else hashlib.sha256(
+            "".join(f"{key}\t{value}\n" for key, value in self.sorted_items()).encode()
+        ).hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,13 +94,14 @@ class NormalizationLexicon:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._entries.get(key, default)
 
+    def sorted_items(self) -> list[tuple[str, str]]:
+        """(short form, canonical word) pairs in key order."""
+        return sorted(self._entries.items())
+
     def fingerprint(self) -> str:
-        if not self._entries:
-            return "empty"
-        digest = hashlib.sha256()
-        for key in sorted(self._entries):
-            digest.update(f"{key}\t{self._entries[key]}\n".encode())
-        return digest.hexdigest()[:16]
+        """16 hex digits of the SHA-256 of the sorted entries, or "empty";
+        computed once, when the lexicon is built."""
+        return self._fingerprint
 
 
 EMPTY_LEXICON = NormalizationLexicon()
@@ -159,6 +163,18 @@ class FeatureCatalogue:
     def fingerprint(self) -> str:
         disabled = [f.name for f in fields(self) if not getattr(self, f.name)]
         return "all" if not disabled else "off:" + ",".join(disabled)
+
+    @classmethod
+    def from_fingerprint(cls, text: str) -> "FeatureCatalogue":
+        """Inverse of ``fingerprint``; any other spelling raises ValueError."""
+        if text == "all":
+            return cls()
+        if not text.startswith("off:"):
+            raise ValueError(f"bad catalogue fingerprint {text!r}")
+        catalogue = cls().without(*text[len("off:"):].split(","))
+        if catalogue.fingerprint() != text:
+            raise ValueError(f"non-canonical catalogue fingerprint {text!r}")
+        return catalogue
 
 
 # Flag names in emission order.  Each entry maps to a predicate on the surface.

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, Token
 from .crf import Model, _state_scores, _viterbi, viterbi
 from .features import (
-    EMPTY_LEXICON,
     FeatureCatalogue,
     NormalizationLexicon,
     extract_corpus_attributes,
@@ -21,16 +19,18 @@ from .features import (
 
 def _relabel(sentence: Sentence, labels: Iterable[str]) -> Sentence:
     return Sentence(
-        tuple(replace(token, pos=label) for token, label in zip(sentence, labels))
+        tuple(Token(token.surface, token.lang, label) for token, label in zip(sentence, labels))
     )
 
 
 def tag_sentence(
     model: Model,
     sentence: Sentence,
-    lexicon: NormalizationLexicon = EMPTY_LEXICON,
-    catalogue: FeatureCatalogue = FeatureCatalogue(),
+    lexicon: NormalizationLexicon | None = None,
+    catalogue: FeatureCatalogue | None = None,
 ) -> Sentence:
+    """Viterbi-decode one sentence; see ``tag_corpus`` for the features."""
+    lexicon, catalogue = model.features(lexicon, catalogue)
     attrs = extract_sentence_attributes(sentence, lexicon, catalogue)
     labels, _ = viterbi(model, attrs)
     return _relabel(sentence, labels)
@@ -39,15 +39,20 @@ def tag_sentence(
 def tag_corpus(
     model: Model,
     corpus: Corpus,
-    lexicon: NormalizationLexicon = EMPTY_LEXICON,
-    catalogue: FeatureCatalogue = FeatureCatalogue(),
+    lexicon: NormalizationLexicon | None = None,
+    catalogue: FeatureCatalogue | None = None,
 ) -> Corpus:
     """Viterbi-decode every sentence; surfaces and language tags pass through.
+
+    Features are extracted with the model's own lexicon and catalogue.  An
+    explicit ``lexicon`` or ``catalogue`` must match the model's (else
+    ValueError); a v1 model trained with a lexicon needs it passed in.
 
     The corpus is one batch: extracted and compiled in one pass, scored
     once, and decoded by one batched Viterbi.  The result equals
     ``tag_sentence`` on each sentence.
     """
+    lexicon, catalogue = model.features(lexicon, catalogue)
     if not corpus.sentences:
         return Corpus(())
     # streamed into compile, so no token's attribute strings outlive its row

@@ -212,7 +212,7 @@ def train(
         indexed.labels,
         indexed.index,
         weights,
-        catalogue_fingerprint=catalogue.fingerprint(),
-        lexicon_fingerprint=lexicon.fingerprint(),
+        catalogue=catalogue,
+        lexicon=lexicon,
     )
     return model, report

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import FeatureIndex, LabelSet, Lattice, Model
@@ -40,3 +41,27 @@ def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20160915)
+
+
+def byte_edits(data: bytes, edit_bytes: bytes):
+    """Lists of 1-3 (position, byte, op) edits of ``data``."""
+    return st.lists(
+        st.tuples(st.integers(0, len(data)), st.sampled_from(list(edit_bytes)),
+                  st.sampled_from(["replace", "insert", "delete"])),
+        min_size=1, max_size=3,
+    )
+
+
+def apply_byte_edits(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for pos, byte, op in edits:
+        pos = min(pos, len(out))
+        if op == "insert":
+            out.insert(pos, byte)
+        elif pos == len(out):
+            continue
+        elif op == "delete":
+            del out[pos]
+        else:
+            out[pos] = byte
+    return bytes(out)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,12 @@ import pytest
 import mixtag
 from mixtag.cli import main
 from mixtag.corpus import TRAIN3COL, TEST2COL, parse_corpus, write_corpus
+from mixtag.crf import load_model
+from mixtag.features import EMPTY_LEXICON, FeatureCatalogue, extract_attributes, load_lexicon
+from mixtag.tagging import tag_corpus, tag_sentence
 
 from datagen import separable_corpus, strip_labels
+from v1format import save_v1
 
 TRAIN_TEXT = (
     "ami\tbn\tPRP\nkhub\tbn\tJJ\nbhalo\tbn\tJJ\n\n"
@@ -65,8 +70,6 @@ class TestTrain:
             capsys,
         )
         assert code == 0
-        from mixtag.crf import load_model
-
         assert np.all(load_model(model.read_bytes()).weights == 0)
 
     def test_training_error_is_numeric_failure(self, workdir, capsys, monkeypatch):
@@ -181,7 +184,7 @@ class TestTag:
 
     def test_model_version_mismatch(self, workdir, capsys):
         model = self._train(workdir, capsys)
-        data = model.read_bytes().replace(b"MIXTAG-MODEL 1", b"MIXTAG-MODEL 2", 1)
+        data = model.read_bytes().replace(b"MIXTAG-MODEL 2", b"MIXTAG-MODEL 3", 1)
         model.write_bytes(data)
         code, _, err = run(
             ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
@@ -193,7 +196,8 @@ class TestTag:
 
     def test_unknown_label_in_model_is_data_error(self, workdir, capsys):
         model = self._train(workdir, capsys)
-        model.write_bytes(model.read_bytes().replace(b"\nJJ\tJJ\t", b"\nZZ\tJJ\t", 1))
+        v1 = save_v1(load_model(model.read_bytes()))
+        model.write_bytes(v1.replace(b"\nJJ\tJJ\t", b"\nZZ\tJJ\t", 1))
         code, _, err = run(
             ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
              "--output", str(workdir / "out.txt")],
@@ -330,3 +334,104 @@ class TestImports:
             assert getattr(mixtag, name) is getattr(trainer, name)
         with pytest.raises(AttributeError):
             mixtag.no_such_name
+
+
+# "kr" is tagged V only through the lexicon, which maps it and the training
+# verbs to NORM=kor; without the lexicon its features are those of the JJ words
+LEXICON_TEXT = "kr\tkor\nkrbo\tkor\nkrlm\tkor\nkrchi\tkor\n"
+LEXICON_TRAIN_TEXT = (
+    "krbo\tbn\tV\n\nkrlm\tbn\tV\n\nkrchi\tbn\tV\n\n"
+    "khub\tbn\tJJ\n\nbhlo\tbn\tJJ\n\nthik\tbn\tJJ\n\nbesi\tbn\tJJ\n\n"
+    "ami\tbn\tPRP\nkhub\tbn\tJJ\n\nami\tbn\tPRP\nkrbo\tbn\tV\n"
+)
+LEXICON_TEST_TEXT = "kr\tbn\n\nami\tbn\nkr\tbn\n"
+
+
+class TestModelFeatures:
+    """``mixtag tag`` and ``features --model`` use the model's own lexicon and catalogue."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, capsys):
+        (tmp_path / "train.txt").write_text(LEXICON_TRAIN_TEXT, encoding="utf-8")
+        (tmp_path / "test.txt").write_text(LEXICON_TEST_TEXT, encoding="utf-8")
+        (tmp_path / "lex.tsv").write_text(LEXICON_TEXT, encoding="utf-8")
+        model = tmp_path / "model.txt"
+        code, _, err = run(
+            ["train", "--train", str(tmp_path / "train.txt"), "--lexicon", str(tmp_path / "lex.tsv"),
+             "--disable-feature", "affixes", "--model", str(model), "--max-iter", "30"],
+            capsys,
+        )
+        assert code == 0, err
+        return tmp_path, model
+
+    def test_tag_equals_in_process_tagging_with_training_features(self, trained, capsys):
+        tmp_path, model_path = trained
+        out = tmp_path / "tagged.txt"
+        code, _, err = run(["tag", "--model", str(model_path), "--input", str(tmp_path / "test.txt"),
+                            "--output", str(out)], capsys)
+        assert code == 0, err
+        model = load_model(model_path.read_bytes())
+        source = parse_corpus(LEXICON_TEST_TEXT, TEST2COL)
+        lexicon = load_lexicon(LEXICON_TEXT)
+        expected = tag_corpus(model, source, lexicon, FeatureCatalogue().without("affixes"))
+        assert out.read_text(encoding="utf-8") == write_corpus(expected, TRAIN3COL)
+        # the data tells the lexicon apart: without it, "kr" gets another tag
+        assert [t.pos for s in expected for t in s] == ["V", "PRP", "V"]
+        without = tag_corpus(replace(model, lexicon=EMPTY_LEXICON), source)
+        assert without != expected
+
+    def test_mismatched_explicit_features_raise(self, trained):
+        _, model_path = trained
+        model = load_model(model_path.read_bytes())
+        source = parse_corpus(LEXICON_TEST_TEXT, TEST2COL)
+        with pytest.raises(ValueError, match="lexicon .* does not match"):
+            tag_corpus(model, source, load_lexicon("kr\tkor\n"))
+        with pytest.raises(ValueError, match="lexicon .* does not match"):
+            tag_sentence(model, source.sentences[0], EMPTY_LEXICON)
+        with pytest.raises(ValueError, match="catalogue all does not match"):
+            tag_corpus(model, source, catalogue=FeatureCatalogue())
+
+    def test_v1_model_with_lexicon_exits_2(self, trained, capsys):
+        tmp_path, model_path = trained
+        model = load_model(model_path.read_bytes())
+        model_path.write_bytes(save_v1(model))
+        out = tmp_path / "tagged.txt"
+        code, _, err = run(["tag", "--model", str(model_path), "--input", str(tmp_path / "test.txt"),
+                            "--output", str(out)], capsys)
+        assert code == 2
+        assert f"does not store its lexicon (fingerprint {model.lexicon_fingerprint})" in err
+        assert not out.exists()
+        # through the library, the training lexicon recovers the tags
+        v1 = load_model(model_path.read_bytes())
+        source = parse_corpus(LEXICON_TEST_TEXT, TEST2COL)
+        assert tag_corpus(v1, source, load_lexicon(LEXICON_TEXT)) == tag_corpus(model, source)
+
+    def test_v1_model_without_lexicon_tags_alike(self, workdir, capsys):
+        model_path = TestTag()._train(workdir, capsys)
+        outputs = []
+        for data in (model_path.read_bytes(), save_v1(load_model(model_path.read_bytes()))):
+            model_path.write_bytes(data)
+            out = workdir / "tagged.txt"
+            assert run(["tag", "--model", str(model_path), "--input", str(workdir / "test.txt"),
+                        "--output", str(out)], capsys)[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_features_with_model(self, trained, capsys):
+        tmp_path, model_path = trained
+        code, out, err = run(["features", "--input", str(tmp_path / "test.txt"),
+                              "--model", str(model_path), "--position", "1:1"], capsys)
+        assert code == 0, err
+        attrs = out.split("\n")[1:-1]
+        source = parse_corpus(LEXICON_TEST_TEXT, TEST2COL)
+        assert attrs == list(extract_attributes(
+            source.sentences[1], 1, load_lexicon(LEXICON_TEXT), FeatureCatalogue().without("affixes")))
+        assert "NORM=kor" in attrs
+        assert not any(a.startswith("P1=") for a in attrs)
+
+    def test_features_model_and_lexicon_is_usage_error(self, trained, capsys):
+        tmp_path, model_path = trained
+        code, _, err = run(["features", "--input", str(tmp_path / "test.txt"),
+                            "--model", str(model_path), "--lexicon", str(tmp_path / "lex.tsv")], capsys)
+        assert code == 1
+        assert "not allowed with" in err

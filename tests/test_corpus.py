@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mixtag.corpus import (
     TEST2COL,
@@ -8,12 +8,13 @@ from mixtag.corpus import (
     CorpusError,
     Sentence,
     Token,
+    decode_text,
     merge_corpora,
     parse_corpus,
     write_corpus,
 )
 
-from conftest import make_corpus, make_sentence
+from conftest import apply_byte_edits, byte_edits, make_corpus, make_sentence
 
 
 class TestParse:
@@ -98,6 +99,10 @@ class TestWrite:
         c = make_corpus(make_sentence(("hi", "en", "UH")))
         assert write_corpus(c, TEST2COL) == "hi\ten\n"
 
+    def test_first_surface_starting_with_bom_round_trips(self):
+        corpus = make_corpus(make_sentence(("\ufeffa", "en"), ("b", "en")))
+        assert parse_corpus(write_corpus(corpus, TEST2COL), TEST2COL) == corpus
+
 
 surfaces = st.text(
     st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)),
@@ -141,3 +146,28 @@ class TestProperties:
         assert len(merged) == sum(len(p) for p in parts)
         flat = [s for p in parts for s in p.sentences]
         assert list(merged.sentences) == flat
+
+
+SAMPLE_CORPORA = {
+    TRAIN3COL: "\ufeffami\tbn\tPRP\r\nkhub\tbn\tJJ\n\nok\ten\tUH\n\nবাংলা\tbn\tN".encode(),
+    TEST2COL: "\ufeffami\tbn\r\nkhub\tbn\n\nok\ten\n\nবাংলা\tbn\nvlo\tbn".encode(),
+}
+# field, line and sentence breaks, a BOM's bytes, bytes that break UTF-8
+CORPUS_EDIT_BYTES = b"\t\n\r \x00\xff\xef\xbb\xbf\x80\xe0ab#"
+
+
+class TestByteEdits:
+    @settings(max_examples=300, deadline=None)
+    @given(byte_edits(SAMPLE_CORPORA[TRAIN3COL], CORPUS_EDIT_BYTES), st.sampled_from(list(SAMPLE_CORPORA)))
+    def test_byte_edits_load_or_raise_corpus_error_with_line(self, edits, schema):
+        data = apply_byte_edits(SAMPLE_CORPORA[schema], edits)
+        try:
+            parse_corpus(decode_text(data), schema)
+        except CorpusError as exc:
+            assert exc.line is not None
+            assert 1 <= exc.line <= data.count(b"\n") + 1
+            assert str(exc).startswith(f"line {exc.line}: ")
+
+    def test_bad_utf8_reports_its_line(self):
+        with pytest.raises(CorpusError, match="line 2: not UTF-8"):
+            decode_text(b"ami\tbn\n\xffkhub\tbn\n")

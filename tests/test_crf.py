@@ -1,9 +1,11 @@
+import base64
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixtag.features import FeatureCatalogue, NormalizationLexicon
 from mixtag.crf import (
     _forward_backward,
     _viterbi,
@@ -24,19 +26,31 @@ from mixtag.crf import (
 )
 
 import oracles
-from conftest import model_from_lattice
+from conftest import apply_byte_edits, byte_edits, model_from_lattice
+from v1format import save_v1
 
 
 def aset(*attrs):
     return tuple(attrs)
 
 
-SMALL_MODEL = save_model(
+SMALL_MODEL = save_v1(
     Model(LabelSet(["N", "V"]), FeatureIndex(2, ["W0=a\\b", "W0=k1"]),
           np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0]))
 )
 # bytes that can shift fields and lines or break a number
-EDIT_BYTES = st.sampled_from(list(b"\t\n\\\r0123456789e+-_.\x00\xffNV"))
+EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV"
+
+# escaped attributes and lexicon entries; 10 weights, 80 bytes, so the
+# base64 line ends in padding
+SMALL_V2_MODEL = save_model(
+    Model(LabelSet(["N", "V"]), FeatureIndex(2, ["W0=\\", "W0=a\tb", "W0=k1"]),
+          np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0, -0.0, 1e300]),
+          FeatureCatalogue().without("affixes"),
+          NormalizationLexicon({"k\\1": "ka\nl", "kr": "kor"}))
+)
+# v1's edit bytes plus the base64 alphabet's, an escape letter and a space
+V2_EDIT_BYTES = EDIT_BYTES + b" /=AQgwnt"
 
 
 class TestLabelSet:
@@ -350,9 +364,9 @@ class TestBatchedViterbi:
 class TestPersistence:
     def _model(self, rng):
         labels = LabelSet(["N", "V", "PRP"])
-        idx = FeatureIndex(3, ["LEN=L_2", "W0=khub", "FLAG=ContainsDigit"])
+        idx = FeatureIndex(3, ["FLAG=ContainsDigit", "LEN=L_2", "W0=khub"])
         w = rng.standard_normal(idx.size)
-        return Model(labels, idx, w, "all", "empty")
+        return Model(labels, idx, w)
 
     def test_round_trip_exact(self, rng):
         model = self._model(rng)
@@ -368,7 +382,7 @@ class TestPersistence:
         assert save_model(model) == save_model(model)
 
     def test_unsupported_version(self, rng):
-        data = save_model(self._model(rng)).replace(b"MIXTAG-MODEL 1", b"MIXTAG-MODEL 2", 1)
+        data = save_model(self._model(rng)).replace(b"MIXTAG-MODEL 2", b"MIXTAG-MODEL 3", 1)
         with pytest.raises(ModelFormatError, match="version"):
             load_model(data)
 
@@ -377,12 +391,12 @@ class TestPersistence:
             load_model(b"NOT-A-MODEL 1\n")
 
     def test_truncated(self, rng):
-        data = save_model(self._model(rng))
+        data = save_v1(self._model(rng))
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(data[: len(data) // 2])
 
     def test_non_finite_weight_rejected(self, rng):
-        data = save_model(self._model(rng)).decode()
+        data = save_v1(self._model(rng)).decode()
         lines = data.split("\n")
         first_trans = lines.index("transitions") + 1
         cols = lines[first_trans].split("\t")
@@ -392,46 +406,48 @@ class TestPersistence:
             load_model("\n".join(lines).encode())
 
     def test_unknown_label_in_transitions(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nN\tN\t", b"\nZZ\tN\t", 1)
+        data = save_v1(self._model(rng)).replace(b"\nN\tN\t", b"\nZZ\tN\t", 1)
         with pytest.raises(ModelFormatError, match="transition block"):
             load_model(data)
 
     def test_unknown_label_in_states(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nLEN=L_2\tN\t", b"\nLEN=L_2\tZZ\t")
+        data = save_v1(self._model(rng)).replace(b"\nLEN=L_2\tN\t", b"\nLEN=L_2\tZZ\t")
         with pytest.raises(ModelFormatError, match="state block"):
             load_model(data)
 
     def test_bad_label_count(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nlabels 3\n", b"\nlabels x\n")
+        data = save_v1(self._model(rng)).replace(b"\nlabels 3\n", b"\nlabels x\n")
         with pytest.raises(ModelFormatError, match="labels count"):
             load_model(data)
 
     def test_duplicate_state_block(self, rng):
         # the second attribute block repeats the first one's attribute
-        data = save_model(self._model(rng)).replace(b"\nW0=khub\t", b"\nLEN=L_2\t")
+        data = save_v1(self._model(rng)).replace(b"\nW0=khub\t", b"\nLEN=L_2\t")
         with pytest.raises(ModelFormatError, match="duplicate"):
             load_model(data)
 
     def test_special_characters_round_trip(self, rng):
         labels = LabelSet(["X", "Y"])
-        idx = FeatureIndex(2, ["W0=a\tb", "W0=a\nb", "W0=a\\b", "W0=a\\tb", "W0=\\"])
+        # in sorted order, as v2 stores them
+        idx = FeatureIndex(2, sorted(["W0=a\tb", "W0=a\nb", "W0=a\\b", "W0=a\\tb", "W0=\\"]))
         model = Model(labels, idx, rng.standard_normal(idx.size))
-        loaded = load_model(save_model(model))
-        assert loaded.index.attributes == idx.attributes
-        assert np.array_equal(loaded.weights, model.weights)
+        for save in (save_model, save_v1):
+            loaded = load_model(save(model))
+            assert loaded.index.attributes == idx.attributes
+            assert np.array_equal(loaded.weights, model.weights)
 
     def test_block_spelled_differently(self):
         # "\\a" unescapes to "a", but a block's label lines must spell its
         # attribute exactly as the first line does
         model = Model(LabelSet(["X", "Y"]), FeatureIndex(2, ["W0=ab"]), np.zeros(6))
-        data = save_model(model).replace(b"\nW0=ab\tY\t", b"\nW0=\\ab\tY\t")
-        assert data != save_model(model)
+        data = save_v1(model).replace(b"\nW0=ab\tY\t", b"\nW0=\\ab\tY\t")
+        assert data != save_v1(model)
         with pytest.raises(ModelFormatError, match="state block"):
             load_model(data)
 
     def test_transition_rows_swapped(self, rng):
         # rows N and V trade places whole, each spelled consistently
-        lines = save_model(self._model(rng)).decode().split("\n")
+        lines = save_v1(self._model(rng)).decode().split("\n")
         i = lines.index("transitions") + 1
         lines[i:i + 6] = lines[i + 3:i + 6] + lines[i:i + 3]
         with pytest.raises(ModelFormatError, match="transition block out of order"):
@@ -439,13 +455,13 @@ class TestPersistence:
 
     def test_trailing_garbage(self, rng):
         with pytest.raises(ModelFormatError, match="trailing"):
-            load_model(save_model(self._model(rng)) + b"x\n")
+            load_model(save_v1(self._model(rng)) + b"x\n")
 
     @pytest.mark.parametrize("header", ["transitions", "states 3"])
     def test_tab_moved_to_next_line(self, rng, header):
         # a line short one tab, then one with an extra tab: joined, the two
         # lines read exactly as the original ones
-        lines = save_model(self._model(rng)).decode().split("\n")
+        lines = save_v1(self._model(rng)).decode().split("\n")
         i = lines.index(header) + 1
         key, label, weight = lines[i].split("\t")
         lines[i:i + 2] = [f"{key}\t{label}", f"{weight}\t{lines[i + 1]}"]
@@ -456,30 +472,17 @@ class TestPersistence:
         "header, block", [("transitions", "transition block"), ("states 3", "state block")]
     )
     def test_non_numeric_weight(self, rng, header, block):
-        lines = save_model(self._model(rng)).decode().split("\n")
+        lines = save_v1(self._model(rng)).decode().split("\n")
         i = lines.index(header) + 2
         lines[i] = lines[i].rpartition("\t")[0] + "\t1.5x"
         with pytest.raises(ModelFormatError, match=f"bad weight.*{block}"):
             load_model("\n".join(lines).encode())
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, len(SMALL_MODEL)), EDIT_BYTES,
-                              st.sampled_from(["replace", "insert", "delete"])),
-                    min_size=1, max_size=3))
+    @given(byte_edits(SMALL_MODEL, EDIT_BYTES))
     def test_byte_edits_load_or_raise_model_format_error(self, edits):
-        data = bytearray(SMALL_MODEL)
-        for pos, byte, op in edits:
-            pos = min(pos, len(data))
-            if op == "insert":
-                data.insert(pos, byte)
-            elif pos == len(data):
-                continue
-            elif op == "delete":
-                del data[pos]
-            else:
-                data[pos] = byte
         try:
-            model = load_model(bytes(data))
+            model = load_model(apply_byte_edits(SMALL_MODEL, edits))
         except ModelFormatError:
             return
         saved = save_model(model)
@@ -489,5 +492,182 @@ class TestPersistence:
         labels = LabelSet(["X"])
         idx = FeatureIndex(1, ["W0=a\\b"])
         model = Model(labels, idx, np.array([0.5, -0.25]))
+        for save in (save_model, save_v1):
+            loaded = load_model(save(model))
+            assert loaded.index.attributes == ("W0=a\\b",)
+
+
+def _weights_line(data: bytes) -> bytes:
+    return data.split(b"\nweights\n")[1].rstrip(b"\n")
+
+
+class TestPersistenceV2:
+    def _model(self, rng):
+        labels = LabelSet(["N", "V", "PRP"])
+        idx = FeatureIndex(3, ["FLAG=ContainsDigit", "LEN=L_2", "W0=a\\b", "W0=khub"])
+        return Model(labels, idx, rng.standard_normal(idx.size),
+                     FeatureCatalogue().without("context", "affixes"),
+                     NormalizationLexicon({"krte": "korte", "k\\": "ka\nb"}))
+
+    def test_round_trip_carries_features(self, rng):
+        model = self._model(rng)
+        data = save_model(model)
+        assert data.startswith(b"MIXTAG-MODEL 2\n")
+        loaded = load_model(data)
+        assert loaded.catalogue == model.catalogue
+        assert loaded.lexicon.sorted_items() == model.lexicon.sorted_items()
+        assert loaded.lexicon_fingerprint == model.lexicon_fingerprint
+        assert loaded.index.attributes == model.index.attributes
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert save_model(loaded) == data
+
+    def test_file_layout(self, rng):
+        lines = save_model(self._model(rng)).decode().split("\n")
+        assert lines[:9] == [
+            "MIXTAG-MODEL 2", "labels 3", "N", "V", "PRP", "catalogue off:context,affixes",
+            "lexicon 2", "k\\\\\tka\\nb", "krte\tkorte",
+        ]
+        assert lines[9:15] == [
+            "attributes 4", "FLAG=ContainsDigit", "LEN=L_2", "W0=a\\\\b", "W0=khub", "weights",
+        ]
+        assert lines[16:] == [""]
+
+    def test_unsorted_index_saved_in_sorted_order(self, rng):
+        labels = LabelSet(["X", "Y"])
+        idx = FeatureIndex(2, ["W0=b", "W0=\\", "W0=a"])
+        model = Model(labels, idx, rng.standard_normal(idx.size))
         loaded = load_model(save_model(model))
-        assert loaded.index.attributes == ("W0=a\\b",)
+        assert loaded.index.attributes == ("W0=\\", "W0=a", "W0=b")
+        assert np.array_equal(loaded.weights[:4], model.weights[:4])
+        for attr in idx.attributes:
+            a, b = idx.state_base(attr), loaded.index.state_base(attr)
+            assert np.array_equal(loaded.weights[b:b + 2], model.weights[a:a + 2])
+
+    def test_v1_without_lexicon_cannot_be_saved(self, rng):
+        data = save_v1(self._model(rng))
+        loaded = load_model(data)
+        assert loaded.lexicon is None
+        assert loaded.lexicon_fingerprint == self._model(rng).lexicon_fingerprint
+        assert loaded.catalogue == self._model(rng).catalogue
+        with pytest.raises(ValueError, match="lexicon"):
+            save_model(loaded)
+
+    def test_lexicon_xor_v1_fingerprint(self, rng):
+        model = self._model(rng)
+        for lexicon, fingerprint in [(model.lexicon, "0123456789abcdef"), (None, None)]:
+            with pytest.raises(ValueError, match="exactly one"):
+                Model(model.labels, model.index, model.weights, model.catalogue,
+                      lexicon, fingerprint)
+
+    def test_bad_v1_lexicon_fingerprint(self, rng):
+        data = save_v1(self._model(rng))
+        fingerprint = self._model(rng).lexicon_fingerprint.encode()
+        with pytest.raises(ModelFormatError, match="lexicon fingerprint"):
+            load_model(data.replace(fingerprint, fingerprint.upper()))
+
+    def test_unsorted_attributes(self, rng):
+        data = save_model(self._model(rng)).replace(
+            b"\nFLAG=ContainsDigit\nLEN=L_2\n", b"\nLEN=L_2\nFLAG=ContainsDigit\n")
+        with pytest.raises(ModelFormatError, match="attributes not strictly sorted"):
+            load_model(data)
+
+    def test_duplicate_attribute(self, rng):
+        data = save_model(self._model(rng)).replace(b"\nFLAG=ContainsDigit\n", b"\nLEN=L_2\n")
+        with pytest.raises(ModelFormatError, match="attributes not strictly sorted"):
+            load_model(data)
+
+    def test_unsorted_lexicon(self, rng):
+        data = save_model(self._model(rng)).replace(
+            b"\nk\\\\\tka\\nb\nkrte\tkorte\n", b"\nkrte\tkorte\nk\\\\\tka\\nb\n")
+        with pytest.raises(ModelFormatError, match="lexicon entries not strictly sorted"):
+            load_model(data)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"\nLEN=L_2\n", b"\nLEN=L\\_2\n"),  # unescapes to LEN=L_2
+        (b"\nkrte\tkorte\n", b"\nkrte\tk\\orte\n"),
+        (b"\nW0=a\\\\b\n", b"\nW0=a\\\\b\\\n"),  # a lone trailing backslash
+        (b"\nLEN=L_2\n", b"\nLEN=L\t2\n"),  # a raw tab
+    ])
+    def test_non_canonical_escape(self, rng, old, new):
+        data = save_model(self._model(rng))
+        assert old in data
+        with pytest.raises(ModelFormatError, match="non-canonical escape"):
+            load_model(data.replace(old, new))
+
+    def test_non_canonical_weight_text(self):
+        # the last base64 digit before the padding carries bits the bytes
+        # do not use; setting one decodes to the same weights
+        line = _weights_line(SMALL_V2_MODEL)
+        assert line.endswith(b"=")
+        body = line.rstrip(b"=")
+        alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        changed = body[:-1] + bytes([alphabet[alphabet.index(body[-1]) | 1]])
+        edited = changed + line[len(body):]
+        assert base64.b64decode(edited) == base64.b64decode(line)
+        with pytest.raises(ModelFormatError, match="non-canonical weights"):
+            load_model(SMALL_V2_MODEL.replace(line, edited))
+
+    @pytest.mark.parametrize(
+        "line", [b"AAAA AAAA", b"aGVsbG8", b"!!!!", b"AA==AAAA", "AAA\u00e9".encode()])
+    def test_bad_weight_text(self, line):
+        with pytest.raises(ModelFormatError, match="bad weights line"):
+            load_model(SMALL_V2_MODEL.replace(_weights_line(SMALL_V2_MODEL), line))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_weight_count(self, extra):
+        weights = load_model(SMALL_V2_MODEL).weights
+        weights = weights[:extra] if extra < 0 else np.append(weights, [1.0])
+        line = base64.b64encode(weights.astype("<f8").tobytes())
+        with pytest.raises(ModelFormatError, match="expected 10"):
+            load_model(SMALL_V2_MODEL.replace(_weights_line(SMALL_V2_MODEL), line))
+
+    def test_non_finite_weight(self):
+        weights = load_model(SMALL_V2_MODEL).weights.copy()
+        weights[5] = np.nan
+        line = base64.b64encode(weights.astype("<f8").tobytes())
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(SMALL_V2_MODEL.replace(_weights_line(SMALL_V2_MODEL), line))
+
+    @pytest.mark.parametrize("fingerprint, message", [
+        (b"off:nope", "unknown feature family"),
+        (b"off:affixes,context", "non-canonical catalogue"),
+        (b"off:", "unknown feature family"),
+        (b"none", "bad catalogue"),
+    ])
+    def test_bad_catalogue(self, rng, fingerprint, message):
+        data = save_model(self._model(rng)).replace(b"off:context,affixes", fingerprint)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(data)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"\nlabels 3\n", b"\nlabels 03\n"),
+        (b"\nlexicon 2\n", b"\nlexicon +2\n"),
+        (b"\nattributes 4\n", b"\nattributes 4 \n"),
+    ])
+    def test_non_canonical_count(self, rng, old, new):
+        with pytest.raises(ModelFormatError, match="count"):
+            load_model(save_model(self._model(rng)).replace(old, new))
+
+    def test_lexicon_entry_with_tab(self, rng):
+        data = save_model(self._model(rng)).replace(b"\nkrte\tkorte\n", b"\nkrte\tko\\trte\n")
+        with pytest.raises(ModelFormatError, match="bad lexicon block"):
+            load_model(data)
+
+    @pytest.mark.parametrize("tail", [b"x\n", b"\n"])
+    def test_trailing_lines(self, rng, tail):
+        with pytest.raises(ModelFormatError, match="trailing"):
+            load_model(save_model(self._model(rng)) + tail)
+
+    def test_missing_final_newline(self, rng):
+        with pytest.raises(ModelFormatError, match="newline"):
+            load_model(save_model(self._model(rng))[:-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(byte_edits(SMALL_V2_MODEL, V2_EDIT_BYTES))
+    def test_byte_edits_load_and_resave_identically(self, edits):
+        data = apply_byte_edits(SMALL_V2_MODEL, edits)
+        try:
+            model = load_model(data)
+        except ModelFormatError:
+            return
+        assert save_model(model) == data

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mixtag.features import (
     EMPTY_LEXICON,
@@ -20,10 +20,10 @@ from mixtag.features import (
     unescape_value,
     vowel_count,
 )
-from mixtag.corpus import Token
+from mixtag.corpus import Token, decode_text
 
 import datagen
-from conftest import make_sentence
+from conftest import apply_byte_edits, byte_edits, make_sentence
 
 # the default catalogue and every catalogue with one family disabled
 ONE_OFF_CATALOGUES = [FeatureCatalogue()] + [
@@ -35,6 +35,11 @@ words = st.text(
     min_size=1,
     max_size=12,
 )
+
+
+SAMPLE_LEXICON = "\ufeff# short forms\nkrte\tkorte\r\n\nvlo\tbhalo\nকি\tকী\n".encode()
+# field and line breaks, a comment mark, a BOM's bytes, bytes that break UTF-8
+LEXICON_EDIT_BYTES = b"\t\n\r #\x00\xff\xef\xbb\xbf\x80\xe0ak"
 
 
 class TestLexicon:
@@ -57,6 +62,43 @@ class TestLexicon:
     def test_comments_and_blanks_skipped(self):
         lex = load_lexicon("# comment\n\nkrte\tkorte\n")
         assert len(lex) == 1
+
+    def test_fingerprint_unchanged(self):
+        # v1 model files hold this value; it must not change
+        assert load_lexicon("krte\tkorte\nami\tamii\n").fingerprint() == "116e12c92c0cdd8b"
+        assert EMPTY_LEXICON.fingerprint() == "empty"
+
+    def test_sorted_items(self):
+        lex = NormalizationLexicon({"b": "x", "a\\": "y", "A": "z"})
+        assert lex.sorted_items() == [("A", "z"), ("a\\", "y"), ("b", "x")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(byte_edits(SAMPLE_LEXICON, LEXICON_EDIT_BYTES))
+    def test_byte_edits_load_or_raise_lexicon_error_with_line(self, edits):
+        data = apply_byte_edits(SAMPLE_LEXICON, edits)
+        try:
+            load_lexicon(decode_text(data, LexiconError))
+        except LexiconError as exc:
+            assert exc.line is not None
+            assert 1 <= exc.line <= data.count(b"\n") + 1
+            assert str(exc).startswith(f"line {exc.line}: ")
+
+
+class TestCatalogueFingerprint:
+    @pytest.mark.parametrize("catalogue", ONE_OFF_CATALOGUES + [
+        FeatureCatalogue().without("context", "affixes"),
+        FeatureCatalogue().without(*FeatureCatalogue.family_names()[1:]),
+    ], ids=FeatureCatalogue.fingerprint)
+    def test_round_trip(self, catalogue):
+        assert FeatureCatalogue.from_fingerprint(catalogue.fingerprint()) == catalogue
+
+    @pytest.mark.parametrize("text", [
+        "", "none", "All", "off:", "off:nope", "off:affixes,context", "off:context,context",
+        "off:context,", "off: context", ":".join(["off", ",".join(FeatureCatalogue.family_names())]),
+    ])
+    def test_other_spellings_rejected(self, text):
+        with pytest.raises(ValueError):
+            FeatureCatalogue.from_fingerprint(text)
 
 
 class TestOrthoFlags:

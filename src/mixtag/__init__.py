@@ -51,26 +51,14 @@ from .features import (
     vowel_count,
 )
 from .tagging import tag_corpus, tag_sentence
-
-# The trainer loads scipy.optimize, which only training uses; its names load
-# on first access, so importing the package for tagging stays light.
-_TRAINER_NAMES = frozenset({
-    "IndexedCorpus",
-    "TrainConfig",
-    "TrainingError",
-    "TrainReport",
-    "index_corpus",
-    "objective_and_gradient",
-    "train",
-})
-
-
-def __getattr__(name: str):
-    if name in _TRAINER_NAMES:
-        from . import trainer
-
-        return getattr(trainer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .trainer import (
+    IndexedCorpus,
+    TrainConfig,
+    TrainingError,
+    TrainReport,
+    index_corpus,
+    objective_and_gradient,
+    train,
+)
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from . import trainer
 from .corpus import CorpusError, decode_text, merge_corpora, parse_corpus, write_corpus
 from .crf import ModelFormatError, load_model, save_model
 from .evaluation import EvaluationError, evaluate, format_score, render_report
@@ -42,13 +43,18 @@ def _read_text(path: str, error=CorpusError) -> str:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+        raise error(str(exc.strerror or exc)) from None
     return decode_text(data, error)
 
 
-def _parse_file(path: str, schema: str):
+def _parse_file(path: str, schema: str | None):
+    """The corpus in ``path``; a None schema is that of the first token line."""
     try:
-        return parse_corpus(_read_text(path), schema)
+        text = _read_text(path)
+        if schema is None:
+            first = text.lstrip("\ufeff\r\n").partition("\n")[0]
+            schema = corpus_mod.TRAIN3COL if first.count("\t") == 2 else corpus_mod.TEST2COL
+        return parse_corpus(text, schema)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 
@@ -70,10 +76,6 @@ def _catalogue_from_args(disabled: list[str]) -> FeatureCatalogue:
 
 
 def cmd_train(args) -> int:
-    # imported here: the trainer loads scipy.optimize, which only train uses,
-    # and loading it is a large share of every other command's start-up
-    from .trainer import TrainConfig, TrainingError, train
-
     lexicon = _load_lexicon_arg(args.lexicon)
     try:
         catalogue = _catalogue_from_args(args.disable_feature)
@@ -83,15 +85,15 @@ def cmd_train(args) -> int:
     merged = merge_corpora(parts)
     if len(merged) == 0:
         raise CorpusError("training data contains no sentences")
-    config = TrainConfig(
+    config = trainer.TrainConfig(
         cutoff=args.cutoff,
         l2_sigma2=args.sigma2,
         max_iterations=args.max_iter,
         tolerance=args.tol,
     )
     try:
-        model, report = train(merged, lexicon, catalogue, config)
-    except TrainingError as exc:
+        model, report = trainer.train(merged, lexicon, catalogue, config)
+    except trainer.TrainingError as exc:
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     Path(args.model).write_bytes(save_model(model))
@@ -148,11 +150,7 @@ def cmd_features(args) -> int:
         lexicon, catalogue = _load_model_arg(args.model).features()
     else:
         lexicon, catalogue = _load_lexicon_arg(args.lexicon), FeatureCatalogue()
-    text = _read_text(args.input)
-    try:
-        corpus = parse_corpus(text, corpus_mod.TRAIN3COL)
-    except CorpusError:
-        corpus = parse_corpus(text, corpus_mod.TEST2COL)
+    corpus = _parse_file(args.input, None)
 
     if args.position is not None:
         s, t = _parse_position(args.position)

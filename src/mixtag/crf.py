@@ -17,7 +17,6 @@ from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .features import (
     EMPTY_LEXICON,
@@ -78,8 +77,8 @@ class FeatureIndex:
     holds the L state slots L*L + r*L .. L*L + r*L + L-1, one per label, so
     ``weights[L*L:].reshape(-1, L)`` views the state weights as an
     attribute x label matrix W_state.  ``compile`` turns attribute sets into
-    a token x attribute matrix X over the same rows, and every state score,
-    in training and tagging alike, is ``X @ W_state``.
+    (token, row) pairs over the same rows, and every state score, in
+    training and tagging alike, sums the W_state rows of a token's pairs.
     """
 
     def __init__(self, n_labels: int, attributes: Sequence[str]):
@@ -96,13 +95,12 @@ class FeatureIndex:
         row = self._row.get(attribute)
         return None if row is None else self.n_labels * (self.n_labels + row)
 
-    def compile(self, attr_sets: Iterable[Sequence[str]]) -> sparse.csr_array:
-        """Token x attribute CSR matrix with one row per attribute set.
+    def compile(self, attr_sets: Iterable[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): the (token, attribute row) pair of each known
+        attribute, int64, in token and then set order; token k is set k.
 
-        Each retained attribute puts a 1 in its row's column; unknown
-        attributes are dropped, so a token without known attributes gets an
-        empty row and scores 0 for every label.  The sets are read once, in
-        one pass, so a caller may generate them instead of holding them all.
+        A token without known attributes has no pair and scores 0 for every
+        label.  The sets are read once, so a caller may generate them.
         """
         sizes: list[int] = []
 
@@ -115,19 +113,24 @@ class FeatureIndex:
             map(self._row.get, chain.from_iterable(counted()), repeat(-1)), dtype=np.int64
         )
         known = cols >= 0
-        # a token's row starts at the count of known attributes before it
-        starts = np.cumsum([0, *sizes])
-        indptr = np.concatenate(([0], np.cumsum(known)))[starts]
-        return sparse.csr_array(
-            (np.ones(indptr[-1]), cols[known], indptr),
-            shape=(len(sizes), len(self.attributes)),
-        )
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        return rows[known], cols[known]
 
 
-def _state_scores(weights: np.ndarray, index: FeatureIndex, X: sparse.csr_array) -> np.ndarray:
-    """Per-token label scores X @ W_state, shape (tokens, L), all finite."""
+def _sum_pairs(dest: np.ndarray, src: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[dest[k]] += values[src[k]] for every pair k, in pair order from 0;
+    out has n rows.  Sums the compiled pairs in both directions."""
+    L = values.shape[1]
+    bins = (dest * L)[:, None] + np.arange(L)
+    terms = values.take(src, axis=0)  # faster than values[src]
+    return np.bincount(bins.ravel(), weights=terms.ravel(), minlength=n * L).reshape(n, L)
+
+
+def _state_scores(weights: np.ndarray, index: FeatureIndex, rows, cols, tokens: int) -> np.ndarray:
+    """Per-token label scores, shape (tokens, L), all finite: the W_state
+    rows of each token's pairs, summed."""
     L = index.n_labels
-    state = X @ weights[L * L:].reshape(-1, L)
+    state = _sum_pairs(rows, cols, weights[L * L:].reshape(-1, L), tokens)
     if not np.all(np.isfinite(state)):
         raise ValueError("non-finite lattice score")
     return state
@@ -253,7 +256,7 @@ def build_lattice(model: Model, attrs: Sequence[tuple[str, ...]]) -> Lattice:
     if not attrs:
         raise ValueError("attribute sequence must be nonempty")
     L = len(model.labels)
-    state = _state_scores(model.weights, model.index, model.index.compile(attrs))
+    state = _state_scores(model.weights, model.index, *model.index.compile(attrs), len(attrs))
     return Lattice(state, model.weights[: L * L].reshape(L, L))
 
 

@@ -57,9 +57,9 @@ def tag_corpus(
         return Corpus(())
     # streamed into compile, so no token's attribute strings outlive its row
     attrs = chain.from_iterable(extract_corpus_attributes(corpus, lexicon, catalogue))
-    state = _state_scores(model.weights, model.index, model.index.compile(attrs))
-    L = len(model.labels)
     offsets = np.cumsum([0, *map(len, corpus)])
+    state = _state_scores(model.weights, model.index, *model.index.compile(attrs), offsets[-1])
+    L = len(model.labels)
     label_ids, _ = _viterbi(state, model.weights[: L * L].reshape(L, L), offsets)
     labels = [model.labels[y] for y in label_ids.tolist()]
     return Corpus(

@@ -2,18 +2,18 @@
 
 The objective is the negative conditional log-likelihood plus a Gaussian
 penalty ||theta||^2 / (2 sigma^2), minimized from a zero start with
-limited-memory BFGS.  Each evaluation runs one batched forward-backward
-over the whole corpus, whose sentences it visits in one fixed order, so
-repeated runs give identical results.
+L-BFGS (Liu & Nocedal 1989).  Each evaluation runs one batched
+forward-backward over the whole corpus, whose sentences it visits in one
+fixed order, so repeated runs give identical results.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
 
 from .corpus import Corpus
 from .crf import (
@@ -23,6 +23,7 @@ from .crf import (
     index_features,
     _forward_backward,
     _state_scores,
+    _sum_pairs,
 )
 from .features import (
     EMPTY_LEXICON,
@@ -32,7 +33,10 @@ from .features import (
 )
 
 
-LBFGS_MEMORY = 10  # correction pairs L-BFGS-B keeps
+LBFGS_MEMORY = 10  # correction pairs kept; a pair with s.y <= 0 is not stored
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+GRADIENT_TOLERANCE = 1e-12  # no step from a start where max|g| is this small
+MIN_STEP = 1e-20  # training stops where the line search falls below this step
 
 
 class TrainingError(RuntimeError):
@@ -69,17 +73,17 @@ class TrainReport:
 class IndexedCorpus:
     """Training corpus compiled against a label set and feature index.
 
-    Tokens of all sentences are stacked in corpus order.  ``X`` is the
-    token x attribute matrix from ``FeatureIndex.compile``, whose columns
-    are the index's attribute rows, so ``X @ W_state`` scores the tokens
-    exactly as tagging does.  Sentence s covers tokens
-    ``offsets[s]:offsets[s + 1]``.  ``empirical`` holds the gold feature
-    count of every parameter slot.
+    Tokens of all sentences are stacked in corpus order.  ``rows`` and
+    ``cols`` are the (token, attribute row) pairs from
+    ``FeatureIndex.compile``, so ``_state_scores`` scores the tokens exactly
+    as tagging does.  Sentence s covers tokens ``offsets[s]:offsets[s + 1]``.
+    ``empirical`` holds the gold feature count of every parameter slot.
     """
 
     labels: LabelSet
     index: FeatureIndex
-    X: sparse.csr_array  # (tokens, attributes)
+    rows: np.ndarray  # (pairs,) token of each pair
+    cols: np.ndarray  # (pairs,) attribute row of each pair
     label_ids: np.ndarray  # (tokens,) gold label ids
     offsets: np.ndarray  # (sentences + 1,)
     empirical: np.ndarray  # (index.size,)
@@ -97,34 +101,28 @@ def index_corpus(
     """Extract attributes, collect labels, build the index and compile."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    label_strings = set()
-    for sentence in corpus:
-        for token in sentence:
-            if token.pos is None:
-                raise ValueError(
-                    f"unlabeled training token {token.surface!r}"
-                )
-            label_strings.add(token.pos)
-    labels = LabelSet(sorted(label_strings))
+    tokens = [token for sentence in corpus for token in sentence]
+    unlabeled = [token.surface for token in tokens if token.pos is None]
+    if unlabeled:
+        raise ValueError(f"unlabeled training token {unlabeled[0]!r}")
+    labels = LabelSet(sorted({token.pos for token in tokens}))
     L = len(labels)
 
     all_attrs = list(extract_corpus_attributes(corpus, lexicon, catalogue))
     index = index_features(all_attrs, labels, cutoff)
-    X = index.compile(attrs for sentence_attrs in all_attrs for attrs in sentence_attrs)
-    label_ids = np.array(
-        [labels.index(tok.pos) for sentence in corpus for tok in sentence], dtype=np.int64
-    )
+    rows, cols = index.compile(attrs for sentence_attrs in all_attrs for attrs in sentence_attrs)
+    label_ids = np.array([labels.index(token.pos) for token in tokens], dtype=np.int64)
     offsets = np.cumsum([0] + [len(sentence) for sentence in corpus])
 
     # gold slots: one per fired retained attribute, one per adjacent label pair
     has_prev = np.ones(len(label_ids), dtype=bool)
     has_prev[offsets[:-1]] = False
-    state_slots = L * L + X.indices * L + np.repeat(label_ids, np.diff(X.indptr))
+    state_slots = L * L + cols * L + label_ids[rows]
     trans_slots = label_ids[:-1][has_prev[1:]] * L + label_ids[has_prev]
     empirical = np.bincount(
         np.concatenate([trans_slots, state_slots]), minlength=index.size
     ).astype(np.float64)
-    return IndexedCorpus(labels, index, X, label_ids, offsets, empirical)
+    return IndexedCorpus(labels, index, rows, cols, label_ids, offsets, empirical)
 
 
 def objective_and_gradient(
@@ -138,17 +136,48 @@ def objective_and_gradient(
     L = corpus.index.n_labels
     weights = np.asarray(weights, dtype=np.float64)
     trans = weights[: L * L].reshape(L, L)
-    state = _state_scores(weights, corpus.index, corpus.X)
+    state = _state_scores(weights, corpus.index, corpus.rows, corpus.cols, corpus.token_count())
     if not np.all(np.isfinite(trans)):
         raise ValueError("non-finite lattice score")
     node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
 
     value = float(log_z.sum()) - float(np.dot(weights, corpus.empirical))
     value += float(np.dot(weights, weights)) / (2.0 * l2_sigma2)
-    grad = np.concatenate([edge.sum(axis=0).ravel(), (corpus.X.T @ node).ravel()])
+    expected = _sum_pairs(corpus.cols, corpus.rows, node, len(corpus.index.attributes))
+    grad = np.concatenate([edge.sum(axis=0).ravel(), expected.ravel()])
     grad -= corpus.empirical
     grad += weights / l2_sigma2
     return value, grad
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H grad by the two-loop recursion over the (s, y, 1/s.y) pairs, oldest
+    first; H0 is (s.y / y.y) I of the newest pair, or I while there is none."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * np.dot(s, q))
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * np.dot(y, y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * np.dot(y, q)) * s
+    return -q
+
+
+def _backtrack(evaluate, weights: np.ndarray, value: float, grad: np.ndarray, direction: np.ndarray):
+    """(weights, value, gradient) at the first step 1, 1/2, 1/4, ... that
+    meets the Armijo condition, or None below ``MIN_STEP``."""
+    slope = float(np.dot(grad, direction))
+    step = 1.0
+    while step >= MIN_STEP:
+        trial = weights + step * direction
+        trial_value, trial_grad = evaluate(trial)
+        if trial_value <= value + ARMIJO * step * slope:
+            return trial, trial_value, trial_grad
+        step /= 2
+    return None
 
 
 def train(
@@ -159,53 +188,43 @@ def train(
 ) -> tuple[Model, TrainReport]:
     """Fit a model from a fully labeled corpus.
 
-    Weights start at zero; optimization stops at max_iterations or when the
-    relative objective change drops below the tolerance.
+    L-BFGS stops after max_iterations steps; on a step whose relative
+    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is at most the
+    tolerance; at a start where max|g| <= ``GRADIENT_TOLERANCE``; or when
+    the line search finds no step, keeping the current weights.
     """
     start = time.perf_counter()
     indexed = index_corpus(corpus, lexicon, catalogue, config.cutoff)
     report = TrainReport()
 
+    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = objective_and_gradient(w, indexed, config.l2_sigma2)
+        if not np.isfinite(value):
+            raise TrainingError("objective became non-finite")
+        return value, grad
+
     weights = np.zeros(indexed.index.size)
-    cache: dict[bytes, tuple[float, np.ndarray]] = {}
+    value, grad = evaluate(weights)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
+    iterations = config.max_iterations if np.max(np.abs(grad)) > GRADIENT_TOLERANCE else 0
+    for iteration in range(iterations):
+        direction = _lbfgs_direction(grad, pairs) if iteration else -grad / np.linalg.norm(grad)
+        accepted = _backtrack(evaluate, weights, value, grad, direction)
+        if accepted is None:
+            break
+        new_weights, new_value, new_grad = accepted
+        s, y = new_weights - weights, new_grad - grad
+        sy = float(np.dot(s, y))
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        converged = value - new_value <= config.tolerance * max(abs(value), abs(new_value), 1.0)
+        weights, value, grad = accepted
+        report.iterations += 1
+        report.history.append((value, float(np.linalg.norm(grad))))
+        if converged:
+            break
 
-    def fun(w: np.ndarray) -> tuple[float, np.ndarray]:
-        key = w.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            hit = objective_and_gradient(w, indexed, config.l2_sigma2)
-            if not np.isfinite(hit[0]):
-                raise TrainingError("objective became non-finite")
-            cache.clear()  # keep only the most recent evaluation
-            cache[key] = hit
-        return hit
-
-    if config.max_iterations > 0:
-        def callback(w: np.ndarray) -> None:
-            value, grad = fun(w)
-            report.history.append((value, float(np.linalg.norm(grad))))
-
-        result = optimize.minimize(
-            fun,
-            weights,
-            jac=True,
-            method="L-BFGS-B",
-            callback=callback,
-            options={
-                "maxiter": config.max_iterations,
-                "maxcor": LBFGS_MEMORY,
-                "ftol": config.tolerance,
-                "gtol": 1e-12,
-            },
-        )
-        if not np.all(np.isfinite(result.x)):
-            raise TrainingError("optimizer produced non-finite weights")
-        weights = result.x
-        report.iterations = int(result.nit)
-
-    # the optimizer's last evaluation is normally at result.x: a cache hit
-    value, _ = fun(weights)
-    report.final_objective = float(value)
+    report.final_objective = value
     report.wall_time = time.perf_counter() - start
 
     model = Model(

@@ -286,6 +286,37 @@ class TestFeatures:
         assert "out of range" in err
 
 
+class TestFeaturesSchema:
+    """``mixtag features`` reads the schema off the first token line and
+    names the file in errors."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("\n\na\ten\tN\nb\ten\n", 4, "expected 3 tab-separated columns, found 2"),
+        ("a\ten\tN\tX\n", 1, "expected 2 tab-separated columns, found 4"),
+    ])
+    def test_bad_columns_exit_2_naming_the_file(self, tmp_path, capsys, text, line, message):
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["features", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"mixtag: {path}: line {line}: {message}\n"
+
+    def test_three_columns(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text("\ufeffa\ten\tN\r\nb\ten\tV\n", encoding="utf-8")
+        code, out, err = run(["features", "--input", str(path), "--position", "0:1"], capsys)
+        assert code == 0, err
+        assert out.startswith("# sentence 0 token 1: b\n")
+
+    def test_missing_file_named_once(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        code, _, err = run(["features", "--input", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"mixtag: {path}: ")
+        assert err.count(str(path)) == 1
+
+
 class TestDeterminism:
     def test_train_save_tag_byte_identical(self, tmp_path, capsys):
         corpus = separable_corpus(20, seed=7)
@@ -315,16 +346,19 @@ class TestDeterminism:
 
 
 class TestImports:
-    def test_cli_import_skips_optimizer(self):
-        # scipy.optimize costs every process about 0.2 s; only train needs it
+    def test_package_and_cli_load_no_scipy(self):
+        # numpy is the only dependency
         src = str(Path(mixtag.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        probe = "import sys, mixtag.cli; print('scipy.optimize' in sys.modules)"
+        probe = (
+            "import sys, mixtag, mixtag.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
     def test_package_exposes_trainer_names(self):
         from mixtag import trainer

@@ -18,7 +18,7 @@ from .features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
     LexiconError,
-    extract_attributes,
+    extract_sentence_attributes,
     load_lexicon,
 )
 from .tagging import tag_corpus
@@ -113,6 +113,8 @@ def _load_model_arg(path: str):
         return load_model(Path(path).read_bytes())
     except OSError as exc:
         raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def cmd_tag(args) -> int:
@@ -156,19 +158,17 @@ def cmd_features(args) -> int:
         s, t = _parse_position(args.position)
         if not (0 <= s < len(corpus)) or not (0 <= t < len(corpus.sentences[s])):
             raise CorpusError(f"position {s}:{t} is out of range")
-        targets = [(s, t)]
+        targets = [(s, [t])]
     else:
-        targets = [
-            (s, t)
-            for s in range(len(corpus))
-            for t in range(len(corpus.sentences[s]))
-        ]
+        targets = [(s, range(len(sentence))) for s, sentence in enumerate(corpus)]
 
-    for s, t in targets:
+    for s, positions in targets:
         sentence = corpus.sentences[s]
-        print(f"# sentence {s} token {t}: {sentence[t].surface}")
-        for attr in extract_attributes(sentence, t, lexicon, catalogue):
-            print(attr)
+        rows = extract_sentence_attributes(sentence, lexicon, catalogue)
+        for t in positions:
+            print(f"# sentence {s} token {t}: {sentence[t].surface}")
+            for attr in rows[t]:
+                print(attr)
     return EXIT_OK
 
 

@@ -14,8 +14,6 @@ from typing import Callable, Iterator, Sequence
 TRAIN3COL = "train3col"
 TEST2COL = "test2col"
 
-_BAD_SURFACE_CHARS = ("\t", "\r", "\n")
-
 
 class CorpusError(ValueError):
     """Malformed corpus content.  Carries a 1-based line number when known."""
@@ -34,9 +32,10 @@ class Token:
     pos: str | None = None
 
     def __post_init__(self):
-        if not self.surface:
+        surface = self.surface
+        if not surface:
             raise CorpusError("empty token surface")
-        if any(c in self.surface for c in _BAD_SURFACE_CHARS):
+        if "\t" in surface or "\r" in surface or "\n" in surface:
             raise CorpusError("token surface contains tab or newline")
         if not self.lang:
             raise CorpusError("empty language tag")

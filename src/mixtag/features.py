@@ -21,13 +21,14 @@ VOWELS = frozenset("aeiouAEIOU")
 _ASCII_LETTERS = frozenset(string.ascii_letters)
 _ASCII_DIGITS = frozenset(string.digits)
 _ASCII_PUNCT = frozenset(string.punctuation)
+_ASCII_UPPER = frozenset(string.ascii_uppercase)
+_ASCII_ALNUM_PUNCT = _ASCII_LETTERS | _ASCII_DIGITS | _ASCII_PUNCT
 
 _HYPHENATED_NUMBER_RE = re.compile(r"[0-9]+-[0-9]+\Z")
 _DIGIT_THEN_ALPHA_SUFFIX_RE = re.compile(r".*[0-9][A-Za-z]+\Z")
 _DIGIT6_THEN_ALPHA_SUFFIX_RE = re.compile(r".*6[A-Za-z]+\Z")
 _LONG_VOWEL_RUN_RE = re.compile(r"[aeiou]{3,}", re.IGNORECASE)
 _REPEATED_VOWEL_RE = re.compile(r"([aeiouAEIOU])\1+")
-_ALPHA_HEAD_RE = re.compile(r"[A-Za-z]+")
 
 BEGIN_SENTINEL = "<S>"
 END_SENTINEL = "</S>"
@@ -177,77 +178,109 @@ class FeatureCatalogue:
         return catalogue
 
 
-# Flag names in emission order.  Each entry maps to a predicate on the surface.
-def _is_other(c: str) -> bool:
-    return c not in _ASCII_LETTERS and c not in _ASCII_DIGITS and c not in _ASCII_PUNCT
-
-
-def _alpha_head_then_other(s: str) -> bool:
-    m = _ALPHA_HEAD_RE.match(s)
-    if m is None:
-        return False
-    tail = s[m.end():]
-    return any(_is_other(c) for c in tail)
-
-
-_ORTHO_PREDICATES: tuple[tuple[str, object], ...] = (
-    ("ContainsDigit", lambda s: any(c in _ASCII_DIGITS for c in s)),
-    ("ContainsMoreDots", lambda s: s.count(".") >= 2),
-    ("ContainsSlash", lambda s: ("/" in s) or ("\\" in s)),
-    ("ContainsMoreSlash", lambda s: s.count("/") + s.count("\\") >= 2),
-    ("ContainsAtTheRateBeg", lambda s: s[0] == "@"),
-    ("ContainsAtTheRate", lambda s: "@" in s),
-    ("ContainsHash", lambda s: "#" in s),
-    ("ContainsHttp", lambda s: "http" in s.lower()),
-    ("ContainsHyphen", lambda s: "-" in s),
-    ("ContainsColon", lambda s: ":" in s),
-    ("ContainsHyphenatedNumber", lambda s: _HYPHENATED_NUMBER_RE.fullmatch(s) is not None),
-    (
-        "ContainsDigitAndAlphabetBoth",
-        lambda s: any(c in _ASCII_DIGITS for c in s)
-        and any(c in _ASCII_LETTERS for c in s),
-    ),
-    ("ContainsPureDigitSeq", lambda s: all(c in _ASCII_DIGITS for c in s)),
-    ("ContainsAllCaps", lambda s: all(c in string.ascii_uppercase for c in s)),
-    ("ContainsSeqOfSameChar", lambda s: len(s) >= 2 and len(set(s)) == 1),
-    ("ContainsPuncSeq", lambda s: all(c in _ASCII_PUNCT for c in s)),
-    ("ContainsCharsOtherThanAlphDigitPunc", lambda s: any(_is_other(c) for c in s)),
-    ("LongRepeatedCharSeqAtEnd", lambda s: len(s) >= 3 and s[-1] == s[-2] == s[-3]),
-    (
-        "ContainsLongVowelSeqInside",
-        lambda s: _LONG_VOWEL_RUN_RE.search(s) is not None,
-    ),
-    (
-        "ThereExistsAsuffixDigitFollowsAlph",
-        lambda s: _DIGIT_THEN_ALPHA_SUFFIX_RE.fullmatch(s) is not None,
-    ),
-    (
-        "ThereExistsAsuffixDigit6FollowsAlphabets",
-        lambda s: _DIGIT6_THEN_ALPHA_SUFFIX_RE.fullmatch(s) is not None,
-    ),
-    (
-        "ContainsFirstPartAlphabetSecondPartContainsOtherThanAlphDigitPunc",
-        _alpha_head_then_other,
-    ),
+ORTHO_FLAG_NAMES = (
+    "ContainsDigit",
+    "ContainsMoreDots",
+    "ContainsSlash",
+    "ContainsMoreSlash",
+    "ContainsAtTheRateBeg",
+    "ContainsAtTheRate",
+    "ContainsHash",
+    "ContainsHttp",
+    "ContainsHyphen",
+    "ContainsColon",
+    "ContainsHyphenatedNumber",
+    "ContainsDigitAndAlphabetBoth",
+    "ContainsPureDigitSeq",
+    "ContainsAllCaps",
+    "ContainsSeqOfSameChar",
+    "ContainsPuncSeq",
+    "ContainsCharsOtherThanAlphDigitPunc",
+    "LongRepeatedCharSeqAtEnd",
+    "ContainsLongVowelSeqInside",
+    "ThereExistsAsuffixDigitFollowsAlph",
+    "ThereExistsAsuffixDigit6FollowsAlphabets",
+    "ContainsFirstPartAlphabetSecondPartContainsOtherThanAlphDigitPunc",
 )
 
-ORTHO_FLAG_NAMES = tuple(name for name, _ in _ORTHO_PREDICATES)
+
+def _fired_flags(s: str) -> list[str]:
+    """Names of the orthographic flags that fire on a nonempty surface, in
+    ``ORTHO_FLAG_NAMES`` order.  This is the one definition of the flags:
+    set tests on the surface's characters, and a regex only where a cheap
+    test shows it can match."""
+    chars = set(s)
+    fired: list[str] = []
+    add = fired.append
+    digit = not _ASCII_DIGITS.isdisjoint(chars)
+    if digit:
+        add("ContainsDigit")
+    if "." in chars and s.count(".") >= 2:
+        add("ContainsMoreDots")
+    if "/" in chars or "\\" in chars:
+        add("ContainsSlash")
+        if s.count("/") + s.count("\\") >= 2:
+            add("ContainsMoreSlash")
+    if s[0] == "@":
+        add("ContainsAtTheRateBeg")
+    if "@" in chars:
+        add("ContainsAtTheRate")
+    if "#" in chars:
+        add("ContainsHash")
+    # only "p" and "P" lower-case to a string that holds a "p"
+    if ("p" in chars or "P" in chars) and "http" in s.lower():
+        add("ContainsHttp")
+    if "-" in chars:
+        add("ContainsHyphen")
+    if ":" in chars:
+        add("ContainsColon")
+    if digit and "-" in chars and _HYPHENATED_NUMBER_RE.fullmatch(s):
+        add("ContainsHyphenatedNumber")
+    if digit and not _ASCII_LETTERS.isdisjoint(chars):
+        add("ContainsDigitAndAlphabetBoth")
+    if chars <= _ASCII_DIGITS:
+        add("ContainsPureDigitSeq")
+    if chars <= _ASCII_UPPER:
+        add("ContainsAllCaps")
+    if len(chars) == 1 and len(s) >= 2:
+        add("ContainsSeqOfSameChar")
+    if chars <= _ASCII_PUNCT:
+        add("ContainsPuncSeq")
+    other = not chars <= _ASCII_ALNUM_PUNCT
+    if other:
+        add("ContainsCharsOtherThanAlphDigitPunc")
+    if len(s) >= 3 and s[-1] == s[-2] == s[-3]:
+        add("LongRepeatedCharSeqAtEnd")
+    if len(s) >= 3 and _LONG_VOWEL_RUN_RE.search(s):
+        add("ContainsLongVowelSeqInside")
+    if digit and s[-1] in _ASCII_LETTERS and _DIGIT_THEN_ALPHA_SUFFIX_RE.fullmatch(s):
+        add("ThereExistsAsuffixDigitFollowsAlph")
+        if "6" in chars and _DIGIT6_THEN_ALPHA_SUFFIX_RE.fullmatch(s):
+            add("ThereExistsAsuffixDigit6FollowsAlphabets")
+    # the letters that start the surface are not "other" characters
+    if other and s[0] in _ASCII_LETTERS:
+        add("ContainsFirstPartAlphabetSecondPartContainsOtherThanAlphDigitPunc")
+    return fired
 
 
 def ortho_flags(surface: str) -> dict[str, bool]:
     """Evaluate every orthographic/punctuation flag on a nonempty token."""
     if not surface:
         raise ValueError("surface must be nonempty")
-    return {name: bool(pred(surface)) for name, pred in _ORTHO_PREDICATES}
+    fired = _fired_flags(surface)
+    return {name: name in fired for name in ORTHO_FLAG_NAMES}
 
 
 def vowel_count(surface: str) -> int:
     """Count of a/e/i/o/u characters, case-insensitive ('y' excluded)."""
-    return sum(1 for c in surface if c in VOWELS)
+    return sum(map(VOWELS.__contains__, surface))
 
 
 def collapse_vowel_runs(surface: str) -> str:
     """Collapse every run of >=2 identical vowels to a single occurrence."""
+    # most words have no such run, and a search costs less than a sub
+    if _REPEATED_VOWEL_RE.search(surface) is None:
+        return surface
     return _REPEATED_VOWEL_RE.sub(r"\1", surface)
 
 
@@ -272,19 +305,20 @@ def affixes(surface: str) -> tuple[str, str, str, str, str, str, str, str]:
     """
     if not surface:
         raise ValueError("surface must be nonempty")
-    wlen = len(surface)
-    prefixes = tuple(
-        surface[:-k] if wlen >= k + 1 else surface for k in range(1, 5)
-    )
-    suffixes = tuple(
-        surface[-k:] if wlen >= k + 1 else surface for k in range(1, 5)
-    )
-    return prefixes + suffixes
+    s = surface
+    # s[:-k] is empty exactly when the word is too short; s[-k:] is then s
+    return (s[:-1] or s, s[:-2] or s, s[:-3] or s, s[:-4] or s, s[-1:], s[-2:], s[-3:], s[-4:])
+
+
+def _escape_surface(surface: str) -> str:
+    """``escape_value`` of a token surface or of a part of one: ``Token``
+    rejects tabs and newlines, so only a backslash needs escaping."""
+    return escape_value(surface) if "\\" in surface else surface
 
 
 def _padded_words(sentence: Sentence) -> list[str]:
     """Escaped surfaces between two begin and two end sentinels."""
-    words = [escape_value(token.surface) for token in sentence]
+    words = [_escape_surface(token.surface) for token in sentence]
     return [BEGIN_SENTINEL] * 2 + words + [END_SENTINEL] * 2
 
 
@@ -313,8 +347,8 @@ def context_composites(sentence: Sentence, i: int) -> tuple[str, ...]:
 
 def language_composite(token: Token) -> tuple[str, str]:
     """Language-code attribute and the language|word composite."""
-    e = escape_value
-    return (f"LANG={e(token.lang)}", f"LANGW={e(token.lang)}|{e(token.surface)}")
+    lang = escape_value(token.lang)
+    return (f"LANG={lang}", f"LANGW={lang}|{_escape_surface(token.surface)}")
 
 
 def _token_attributes(
@@ -323,29 +357,27 @@ def _token_attributes(
     """The token-local families, LANG through S4: a function of the surface
     and language tag alone."""
     surface = token.surface
-    e = escape_value
     attrs: list[str] = []
     if catalogue.language:
-        attrs.extend(language_composite(token))
+        attrs += language_composite(token)
     if catalogue.ortho:
-        attrs.extend(
-            f"FLAG={name}" for name, fired in ortho_flags(surface).items() if fired
-        )
+        attrs += ["FLAG=" + name for name in _fired_flags(surface)]
     if catalogue.vowel_count:
         attrs.append(f"VC={vowel_count(surface)}")
     if catalogue.vowel_collapse:
-        attrs.append(f"CVR={e(collapse_vowel_runs(surface))}")
+        attrs.append(f"CVR={_escape_surface(collapse_vowel_runs(surface))}")
     if catalogue.normalization:
-        attrs.append(f"NORM={e(normalize_short_form(surface, lexicon))}")
+        attrs.append(f"NORM={escape_value(normalize_short_form(surface, lexicon))}")
     if catalogue.length:
         attrs.append(f"LEN={length_bucket(surface)}")
     if catalogue.affixes:
-        p1, p2, p3, p4, s1, s2, s3, s4 = affixes(surface)
-        attrs.extend(
-            (
-                f"P1={e(p1)}", f"P2={e(p2)}", f"P3={e(p3)}", f"P4={e(p4)}",
-                f"S1={e(s1)}", f"S2={e(s2)}", f"S3={e(s3)}", f"S4={e(s4)}",
-            )
+        parts = affixes(surface)
+        if "\\" in surface:  # else no part needs escaping
+            parts = map(escape_value, parts)
+        p1, p2, p3, p4, s1, s2, s3, s4 = parts
+        attrs += (
+            f"P1={p1}", f"P2={p2}", f"P3={p3}", f"P4={p4}",
+            f"S1={s1}", f"S2={s2}", f"S3={s3}", f"S4={s4}",
         )
     return tuple(attrs)
 

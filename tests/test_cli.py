@@ -276,6 +276,24 @@ class TestFeatures:
         assert "token 1: b" in out
         assert "token 0" not in out
 
+    def test_every_position_equals_extract_attributes(self, tmp_path, capsys):
+        # a repeated surface, a backslash surface and a backslash lexicon entry
+        text = "a\\b\tbn\nok\ten\na\\b\tbn\n\nok\ten\nok\ten\n"
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("a\\b\tc\\d\n", encoding="utf-8")
+        code, out, _ = run(["features", "--input", str(path), "--lexicon", str(lex)], capsys)
+        assert code == 0
+        lexicon = load_lexicon("a\\b\tc\\d\n")
+        expected = []
+        for s, sentence in enumerate(parse_corpus(text, TEST2COL)):
+            for t in range(len(sentence)):
+                expected.append(f"# sentence {s} token {t}: {sentence[t].surface}")
+                expected.extend(extract_attributes(sentence, t, lexicon))
+        assert out == "\n".join(expected) + "\n"
+        assert "NORM=c\\\\d" in expected and "W-1=a\\\\b" in expected
+
     def test_position_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
         path.write_text("a\tbn\nb\tbn\nc\tbn\n", encoding="utf-8")
@@ -462,6 +480,24 @@ class TestModelFeatures:
             source.sentences[1], 1, load_lexicon(LEXICON_TEXT), FeatureCatalogue().without("affixes")))
         assert "NORM=kor" in attrs
         assert not any(a.startswith("P1=") for a in attrs)
+
+    @pytest.mark.parametrize("command", ["tag", "features"])
+    @pytest.mark.parametrize("data,message", [
+        (b"junk\n", "not a model file (bad magic)"),
+        (b"", "truncated model file"),
+    ], ids=["junk", "empty"])
+    def test_bad_model_file_is_named(self, trained, capsys, command, data, message):
+        tmp_path, _ = trained
+        junk = tmp_path / "junk.txt"
+        junk.write_bytes(data)
+        output = ["--output", str(tmp_path / "tagged.txt")] if command == "tag" else []
+        code, out, err = run(
+            [command, "--input", str(tmp_path / "test.txt"), *output, "--model", str(junk)], capsys
+        )
+        assert code == 2
+        assert err == f"mixtag: {junk}: {message}\n"
+        assert out == ""
+        assert not (tmp_path / "tagged.txt").exists()
 
     def test_features_model_and_lexicon_is_usage_error(self, trained, capsys):
         tmp_path, model_path = trained

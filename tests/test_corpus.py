@@ -17,6 +17,24 @@ from mixtag.corpus import (
 from conftest import apply_byte_edits, byte_edits, make_corpus, make_sentence
 
 
+class TestToken:
+    @pytest.mark.parametrize("surface,lang,pos,message", [
+        ("", "bn", None, "empty token surface"),
+        ("a\tb", "bn", None, "token surface contains tab or newline"),
+        ("a\r", "bn", None, "token surface contains tab or newline"),
+        ("\nb", "bn", "N", "token surface contains tab or newline"),
+        ("a", "", None, "empty language tag"),
+        ("a", "bn", "", "empty POS tag"),
+    ])
+    def test_rejects(self, surface, lang, pos, message):
+        with pytest.raises(CorpusError) as info:
+            Token(surface, lang, pos)
+        assert str(info.value) == message
+
+    def test_accepts_other_whitespace_and_backslash(self):
+        assert Token("a b\\\x0b", "bn").surface == "a b\\\x0b"
+
+
 class TestParse:
     def test_two_sentences(self):
         c = parse_corpus("ami\tbn\tPRP\nkhub\tbn\tJJ\n\nok\ten\tUH\n", TRAIN3COL)

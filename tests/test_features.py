@@ -1,3 +1,6 @@
+import re
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +8,9 @@ from mixtag.features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
     LexiconError,
+    ORTHO_FLAG_NAMES,
     NormalizationLexicon,
+    _token_attributes,
     affixes,
     collapse_vowel_runs,
     context_composites,
@@ -35,6 +40,113 @@ words = st.text(
     min_size=1,
     max_size=12,
 )
+# surfaces made of the characters that the flags and escaping look at
+flag_words = st.text(
+    st.sampled_from("aeiouAEIObxyHTPhtp01569-./\\@#:!?_ \u0130\u0131\U0001F600\u00e9"),
+    min_size=1,
+    max_size=12,
+)
+
+
+# The token-local builder as it was written before the set-based rewrite:
+# one predicate per flag, every value escaped, the helpers spelled out.
+# The tests below hold ``_token_attributes`` and ``ortho_flags`` to it.
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_PUNCT = frozenset(string.punctuation)
+
+
+def _is_other(c):
+    return c not in _LETTERS and c not in _DIGITS and c not in _PUNCT
+
+
+def _alpha_head_then_other(s):
+    m = re.match(r"[A-Za-z]+", s)
+    return m is not None and any(_is_other(c) for c in s[m.end():])
+
+
+REFERENCE_PREDICATES = (
+    ("ContainsDigit", lambda s: any(c in _DIGITS for c in s)),
+    ("ContainsMoreDots", lambda s: s.count(".") >= 2),
+    ("ContainsSlash", lambda s: ("/" in s) or ("\\" in s)),
+    ("ContainsMoreSlash", lambda s: s.count("/") + s.count("\\") >= 2),
+    ("ContainsAtTheRateBeg", lambda s: s[0] == "@"),
+    ("ContainsAtTheRate", lambda s: "@" in s),
+    ("ContainsHash", lambda s: "#" in s),
+    ("ContainsHttp", lambda s: "http" in s.lower()),
+    ("ContainsHyphen", lambda s: "-" in s),
+    ("ContainsColon", lambda s: ":" in s),
+    ("ContainsHyphenatedNumber", lambda s: re.fullmatch(r"[0-9]+-[0-9]+\Z", s) is not None),
+    (
+        "ContainsDigitAndAlphabetBoth",
+        lambda s: any(c in _DIGITS for c in s) and any(c in _LETTERS for c in s),
+    ),
+    ("ContainsPureDigitSeq", lambda s: all(c in _DIGITS for c in s)),
+    ("ContainsAllCaps", lambda s: all(c in string.ascii_uppercase for c in s)),
+    ("ContainsSeqOfSameChar", lambda s: len(s) >= 2 and len(set(s)) == 1),
+    ("ContainsPuncSeq", lambda s: all(c in _PUNCT for c in s)),
+    ("ContainsCharsOtherThanAlphDigitPunc", lambda s: any(_is_other(c) for c in s)),
+    ("LongRepeatedCharSeqAtEnd", lambda s: len(s) >= 3 and s[-1] == s[-2] == s[-3]),
+    (
+        "ContainsLongVowelSeqInside",
+        lambda s: re.search(r"[aeiou]{3,}", s, re.IGNORECASE) is not None,
+    ),
+    (
+        "ThereExistsAsuffixDigitFollowsAlph",
+        lambda s: re.fullmatch(r".*[0-9][A-Za-z]+\Z", s) is not None,
+    ),
+    (
+        "ThereExistsAsuffixDigit6FollowsAlphabets",
+        lambda s: re.fullmatch(r".*6[A-Za-z]+\Z", s) is not None,
+    ),
+    (
+        "ContainsFirstPartAlphabetSecondPartContainsOtherThanAlphDigitPunc",
+        _alpha_head_then_other,
+    ),
+)
+
+
+def reference_ortho_flags(surface):
+    return {name: bool(pred(surface)) for name, pred in REFERENCE_PREDICATES}
+
+
+def reference_token_attributes(token, lexicon, catalogue):
+    surface = token.surface
+    e = escape_value
+    wlen = len(surface)
+    attrs = []
+    if catalogue.language:
+        attrs.extend((f"LANG={e(token.lang)}", f"LANGW={e(token.lang)}|{e(surface)}"))
+    if catalogue.ortho:
+        attrs.extend(
+            f"FLAG={name}" for name, fired in reference_ortho_flags(surface).items() if fired
+        )
+    if catalogue.vowel_count:
+        attrs.append(f"VC={sum(1 for c in surface if c in 'aeiouAEIOU')}")
+    if catalogue.vowel_collapse:
+        collapsed = re.sub(r"([aeiouAEIOU])\1+", r"\1", surface)
+        attrs.append(f"CVR={e(collapsed)}")
+    if catalogue.normalization:
+        hit = lexicon.get(surface)
+        attrs.append(f"NORM={e(hit if hit is not None else surface)}")
+    if catalogue.length:
+        attrs.append(f"LEN=L_{wlen}" if wlen <= 3 else "LEN=L_4")
+    if catalogue.affixes:
+        for k in range(1, 5):
+            attrs.append(f"P{k}={e(surface[:-k] if wlen >= k + 1 else surface)}")
+        for k in range(1, 5):
+            attrs.append(f"S{k}={e(surface[-k:] if wlen >= k + 1 else surface)}")
+    return tuple(attrs)
+
+
+def assert_builder_equals_reference(surface, lang, lexicons):
+    assert ortho_flags(surface) == reference_ortho_flags(surface)
+    token = Token(surface, lang)
+    for catalogue in ONE_OFF_CATALOGUES:
+        for lexicon in lexicons:
+            assert _token_attributes(token, lexicon, catalogue) == reference_token_attributes(
+                token, lexicon, catalogue
+            )
 
 
 SAMPLE_LEXICON = "\ufeff# short forms\nkrte\tkorte\r\n\nvlo\tbhalo\nকি\tকী\n".encode()
@@ -169,6 +281,28 @@ class TestOrthoFlags:
             assert f["ContainsDigit"] and f["ContainsHyphen"]
 
 
+class TestAgainstReference:
+    """The set-based flags and the escape-once builder equal the reference."""
+
+    def test_flag_names_in_reference_order(self):
+        assert ORTHO_FLAG_NAMES == tuple(name for name, _ in REFERENCE_PREDICATES)
+
+    @pytest.mark.parametrize("surface", [
+        "@", "6a", "1947-48", "a\\b", "\\", "\\\\", "!!!", "aaa", "http://t.co/x", "hola\U0001F600", "OMG",
+    ])
+    def test_edge_surfaces(self, surface):
+        lexicon = NormalizationLexicon({surface: "n\\" + surface, "a\\b": "c\\d"})
+        for lang in ("bn", "x\\y"):
+            assert_builder_equals_reference(surface, lang, (EMPTY_LEXICON, lexicon))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(words, flag_words), st.sampled_from(["bn", "en", "x\\y"]))
+    def test_builder_equals_reference(self, w, lang):
+        # a lexicon whose keys and values hold backslashes, one of them a hit
+        lexicon = NormalizationLexicon({w: "n\\" + w, "a\\b": "c\\d"})
+        assert_builder_equals_reference(w, lang, (EMPTY_LEXICON, lexicon))
+
+
 class TestVowels:
     @pytest.mark.parametrize(
         "word,count", [("khub", 1), ("AEIOU", 5), ("xyz", 0), ("", 0)]
@@ -265,6 +399,11 @@ class TestContext:
         s = make_sentence(("a", "bn"), ("b", "bn"), ("c", "bn"))
         with pytest.raises(IndexError):
             context_composites(s, 3)
+
+    def test_backslash_escaped(self):
+        s = make_sentence(("a\\b", "bn"), ("c", "bn"))
+        attrs = context_composites(s, 1)
+        assert "W-1=a\\\\b" in attrs and "W-1W0=a\\\\b|c" in attrs
 
 
 class TestLanguageComposite:

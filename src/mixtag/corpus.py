@@ -32,15 +32,22 @@ class Token:
     pos: str | None = None
 
     def __post_init__(self):
-        surface = self.surface
+        # every field is one column of a corpus line, so write_corpus can
+        # write any token that builds
+        surface, lang, pos = self.surface, self.lang, self.pos
         if not surface:
             raise CorpusError("empty token surface")
         if "\t" in surface or "\r" in surface or "\n" in surface:
             raise CorpusError("token surface contains tab or newline")
-        if not self.lang:
+        if not lang:
             raise CorpusError("empty language tag")
-        if self.pos is not None and not self.pos:
-            raise CorpusError("empty POS tag")
+        if "\t" in lang or "\r" in lang or "\n" in lang:
+            raise CorpusError("language tag contains tab or newline")
+        if pos is not None:
+            if not pos:
+                raise CorpusError("empty POS tag")
+            if "\t" in pos or "\r" in pos or "\n" in pos:
+                raise CorpusError("POS tag contains tab or newline")
 
 
 @dataclass(frozen=True)

@@ -117,20 +117,26 @@ class FeatureIndex:
         return rows[known], cols[known]
 
 
-def _sum_pairs(dest: np.ndarray, src: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """out[dest[k]] += values[src[k]] for every pair k, in pair order from 0;
-    out has n rows.  Sums the compiled pairs in both directions."""
+def _pair_bins(dest: np.ndarray, n_labels: int) -> np.ndarray:
+    """The ``_sum_pairs`` bins that send pairs to rows ``dest``: dest*L + label,
+    L per pair, pair by pair."""
+    return ((dest * n_labels)[:, None] + np.arange(n_labels)).ravel()
+
+
+def _sum_pairs(bins: np.ndarray, src: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[dest[k]] += values[src[k]] for every pair k, in pair order from 0,
+    where ``bins`` is ``_pair_bins(dest, L)``; out has n rows.  Sums the
+    compiled pairs in both directions."""
     L = values.shape[1]
-    bins = (dest * L)[:, None] + np.arange(L)
     terms = values.take(src, axis=0)  # faster than values[src]
-    return np.bincount(bins.ravel(), weights=terms.ravel(), minlength=n * L).reshape(n, L)
+    return np.bincount(bins, weights=terms.ravel(), minlength=n * L).reshape(n, L)
 
 
 def _state_scores(weights: np.ndarray, index: FeatureIndex, rows, cols, tokens: int) -> np.ndarray:
     """Per-token label scores, shape (tokens, L), all finite: the W_state
     rows of each token's pairs, summed."""
     L = index.n_labels
-    state = _sum_pairs(rows, cols, weights[L * L:].reshape(-1, L), tokens)
+    state = _sum_pairs(_pair_bins(rows, L), cols, weights[L * L:].reshape(-1, L), tokens)
     if not np.all(np.isfinite(state)):
         raise ValueError("non-finite lattice score")
     return state

@@ -28,7 +28,8 @@ _HYPHENATED_NUMBER_RE = re.compile(r"[0-9]+-[0-9]+\Z")
 _DIGIT_THEN_ALPHA_SUFFIX_RE = re.compile(r".*[0-9][A-Za-z]+\Z")
 _DIGIT6_THEN_ALPHA_SUFFIX_RE = re.compile(r".*6[A-Za-z]+\Z")
 _LONG_VOWEL_RUN_RE = re.compile(r"[aeiou]{3,}", re.IGNORECASE)
-_REPEATED_VOWEL_RE = re.compile(r"([aeiouAEIOU])\1+")
+# the repeats after a vowel, so a hit is dropped without expanding a template
+_REPEATED_VOWEL_RE = re.compile(r"(?<=([aeiouAEIOU]))\1+")
 
 BEGIN_SENTINEL = "<S>"
 END_SENTINEL = "</S>"
@@ -278,10 +279,7 @@ def vowel_count(surface: str) -> int:
 
 def collapse_vowel_runs(surface: str) -> str:
     """Collapse every run of >=2 identical vowels to a single occurrence."""
-    # most words have no such run, and a search costs less than a sub
-    if _REPEATED_VOWEL_RE.search(surface) is None:
-        return surface
-    return _REPEATED_VOWEL_RE.sub(r"\1", surface)
+    return _REPEATED_VOWEL_RE.sub("", surface)
 
 
 def normalize_short_form(surface: str, lexicon: NormalizationLexicon) -> str:

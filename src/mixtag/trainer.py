@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .crf import (
     Model,
     index_features,
     _forward_backward,
-    _state_scores,
+    _pair_bins,
     _sum_pairs,
 )
 from .features import (
@@ -61,12 +63,22 @@ class TrainConfig:
             raise ValueError("tolerance must be positive")
 
 
+class StopReason(str, Enum):
+    """The rule that ended training."""
+
+    MAX_ITERATIONS = "max_iterations"  # took max_iterations steps
+    CONVERGED = "converged"  # a step's relative decrease was at most the tolerance
+    ZERO_GRADIENT = "zero_gradient"  # max|g| <= GRADIENT_TOLERANCE at the start
+    NO_STEP = "no_step"  # the line search found no step
+
+
 @dataclass
 class TrainReport:
     iterations: int = 0
     history: list[tuple[float, float]] = field(default_factory=list)  # (objective, |grad|)
     final_objective: float = float("nan")
     wall_time: float = 0.0
+    stop_reason: StopReason | None = None  # set by train
 
 
 @dataclass
@@ -75,9 +87,12 @@ class IndexedCorpus:
 
     Tokens of all sentences are stacked in corpus order.  ``rows`` and
     ``cols`` are the (token, attribute row) pairs from
-    ``FeatureIndex.compile``, so ``_state_scores`` scores the tokens exactly
-    as tagging does.  Sentence s covers tokens ``offsets[s]:offsets[s + 1]``.
-    ``empirical`` holds the gold feature count of every parameter slot.
+    ``FeatureIndex.compile``, so the objective sums the state scores of the
+    tokens exactly as tagging's ``_state_scores`` does.  Sentence s covers
+    tokens ``offsets[s]:offsets[s + 1]``.  ``empirical`` holds the gold
+    feature count of every parameter slot.  The ``_sum_pairs`` bins of both
+    pair directions depend on the corpus alone; each is built on first use
+    and kept for every later evaluation.
     """
 
     labels: LabelSet
@@ -90,6 +105,18 @@ class IndexedCorpus:
 
     def token_count(self) -> int:
         return len(self.label_ids)
+
+    @cached_property
+    def state_bins(self) -> np.ndarray:
+        """Bins that sum each token's pairs: rows*L + label."""
+        return _pair_bins(self.rows, self.index.n_labels)
+
+    @cached_property
+    def count_bins(self) -> np.ndarray:
+        """Bins that sum each attribute row's pairs into its parameter slots,
+        L*L + cols*L + label, past the L*L transition slots."""
+        L = self.index.n_labels
+        return _pair_bins(self.cols + L, L)
 
 
 def index_corpus(
@@ -136,15 +163,17 @@ def objective_and_gradient(
     L = corpus.index.n_labels
     weights = np.asarray(weights, dtype=np.float64)
     trans = weights[: L * L].reshape(L, L)
-    state = _state_scores(weights, corpus.index, corpus.rows, corpus.cols, corpus.token_count())
-    if not np.all(np.isfinite(trans)):
+    W = weights[L * L:].reshape(-1, L)
+    state = _sum_pairs(corpus.state_bins, corpus.cols, W, corpus.token_count())
+    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
         raise ValueError("non-finite lattice score")
     node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
 
     value = float(log_z.sum()) - float(np.dot(weights, corpus.empirical))
     value += float(np.dot(weights, weights)) / (2.0 * l2_sigma2)
-    expected = _sum_pairs(corpus.cols, corpus.rows, node, len(corpus.index.attributes))
-    grad = np.concatenate([edge.sum(axis=0).ravel(), expected.ravel()])
+    # expected counts, laid out as the weights; no pair lands in the first L*L
+    grad = _sum_pairs(corpus.count_bins, corpus.rows, node, L + len(W)).ravel()
+    grad[: L * L] = edge.sum(axis=0).ravel()
     grad -= corpus.empirical
     grad += weights / l2_sigma2
     return value, grad
@@ -190,8 +219,9 @@ def train(
 
     L-BFGS stops after max_iterations steps; on a step whose relative
     decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is at most the
-    tolerance; at a start where max|g| <= ``GRADIENT_TOLERANCE``; or when
-    the line search finds no step, keeping the current weights.
+    tolerance, the last allowed step included; at a start where max|g| <=
+    ``GRADIENT_TOLERANCE``; or when the line search finds no step, keeping
+    the current weights.  ``report.stop_reason`` names the rule.
     """
     start = time.perf_counter()
     indexed = index_corpus(corpus, lexicon, catalogue, config.cutoff)
@@ -206,11 +236,15 @@ def train(
     weights = np.zeros(indexed.index.size)
     value, grad = evaluate(weights)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
-    iterations = config.max_iterations if np.max(np.abs(grad)) > GRADIENT_TOLERANCE else 0
+    if np.max(np.abs(grad)) > GRADIENT_TOLERANCE:
+        report.stop_reason, iterations = StopReason.MAX_ITERATIONS, config.max_iterations
+    else:
+        report.stop_reason, iterations = StopReason.ZERO_GRADIENT, 0
     for iteration in range(iterations):
         direction = _lbfgs_direction(grad, pairs) if iteration else -grad / np.linalg.norm(grad)
         accepted = _backtrack(evaluate, weights, value, grad, direction)
         if accepted is None:
+            report.stop_reason = StopReason.NO_STEP
             break
         new_weights, new_value, new_grad = accepted
         s, y = new_weights - weights, new_grad - grad
@@ -222,6 +256,7 @@ def train(
         report.iterations += 1
         report.history.append((value, float(np.linalg.norm(grad))))
         if converged:
+            report.stop_reason = StopReason.CONVERGED
             break
 
     report.final_objective = value

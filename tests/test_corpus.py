@@ -24,7 +24,13 @@ class TestToken:
         ("a\r", "bn", None, "token surface contains tab or newline"),
         ("\nb", "bn", "N", "token surface contains tab or newline"),
         ("a", "", None, "empty language tag"),
+        ("a", "b\tn", None, "language tag contains tab or newline"),
+        ("a", "bn\r", "N", "language tag contains tab or newline"),
+        ("a", "\nbn", None, "language tag contains tab or newline"),
         ("a", "bn", "", "empty POS tag"),
+        ("a", "bn", "N\t", "POS tag contains tab or newline"),
+        ("a", "bn", "\rN", "POS tag contains tab or newline"),
+        ("a", "bn", "N\nJ", "POS tag contains tab or newline"),
     ])
     def test_rejects(self, surface, lang, pos, message):
         with pytest.raises(CorpusError) as info:
@@ -33,6 +39,10 @@ class TestToken:
 
     def test_accepts_other_whitespace_and_backslash(self):
         assert Token("a b\\\x0b", "bn").surface == "a b\\\x0b"
+
+    def test_tab_in_a_tag_is_rejected_by_parse_with_its_line(self):
+        with pytest.raises(CorpusError, match="^line 2: language tag contains tab or newline$"):
+            parse_corpus("a\tbn\tN\nb\tb\rn\tN\n", TRAIN3COL)
 
 
 class TestParse:
@@ -157,6 +167,27 @@ class TestProperties:
     @given(corpora(labeled=False))
     def test_round_trip_test2col(self, corpus):
         assert parse_corpus(write_corpus(corpus, TEST2COL), TEST2COL) == corpus
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_every_corpus_that_builds_round_trips(self, data):
+        # fields drawn with the characters that separate columns and lines
+        field = st.text(st.sampled_from("ab \t\r\n\ufeff\\"), max_size=3)
+        labeled = data.draw(st.booleans())
+        sentences = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            tokens = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                fields = data.draw(field), data.draw(field), data.draw(field) if labeled else None
+                try:
+                    tokens.append(Token(*fields))
+                except CorpusError:
+                    assert any(not f or set(f) & set("\t\r\n") for f in fields if f is not None)
+            if tokens:
+                sentences.append(Sentence(tuple(tokens)))
+        corpus = Corpus(tuple(sentences))
+        schema = TRAIN3COL if labeled else TEST2COL
+        assert parse_corpus(write_corpus(corpus, schema), schema) == corpus
 
     @given(st.lists(corpora(labeled=True), min_size=1, max_size=4))
     def test_merge_preserves_sentence_counts_and_order(self, parts):

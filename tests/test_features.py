@@ -110,6 +110,10 @@ def reference_ortho_flags(surface):
     return {name: bool(pred(surface)) for name, pred in REFERENCE_PREDICATES}
 
 
+def reference_collapse(surface):
+    return re.sub(r"([aeiouAEIOU])\1+", r"\1", surface)
+
+
 def reference_token_attributes(token, lexicon, catalogue):
     surface = token.surface
     e = escape_value
@@ -124,8 +128,7 @@ def reference_token_attributes(token, lexicon, catalogue):
     if catalogue.vowel_count:
         attrs.append(f"VC={sum(1 for c in surface if c in 'aeiouAEIOU')}")
     if catalogue.vowel_collapse:
-        collapsed = re.sub(r"([aeiouAEIOU])\1+", r"\1", surface)
-        attrs.append(f"CVR={e(collapsed)}")
+        attrs.append(f"CVR={e(reference_collapse(surface))}")
     if catalogue.normalization:
         hit = lexicon.get(surface)
         attrs.append(f"NORM={e(hit if hit is not None else surface)}")
@@ -330,6 +333,11 @@ class TestVowels:
     @given(words)
     def test_collapse_never_adds_vowels(self, w):
         assert vowel_count(collapse_vowel_runs(w)) <= vowel_count(w)
+
+    @settings(max_examples=500)
+    @given(st.text(st.sampled_from("aeiouAEIOUbx\\\u00e9"), max_size=12))
+    def test_collapse_equals_reference(self, w):
+        assert collapse_vowel_runs(w) == reference_collapse(w)
 
 
 class TestNormalize:

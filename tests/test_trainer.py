@@ -15,6 +15,8 @@ from mixtag.crf import (
 )
 from mixtag.features import FeatureCatalogue, extract_sentence_attributes
 from mixtag.trainer import (
+    GRADIENT_TOLERANCE,
+    StopReason,
     TrainConfig,
     index_corpus,
     objective_and_gradient,
@@ -120,6 +122,41 @@ class TestBatchedObjective:
         assert np.allclose(grad_p, grad, rtol=0, atol=1e-12)
 
 
+class TestStoredBins:
+    """The objective's pair bins are built once per corpus and never written."""
+
+    ARRAYS = ("rows", "cols", "label_ids", "offsets", "empirical", "state_bins", "count_bins")
+
+    def test_index_corpus_builds_no_bins(self):
+        indexed = index_corpus(toy_corpus())
+        assert not {"state_bins", "count_bins"} & set(vars(indexed))
+
+    def test_weights_and_corpus_arrays_unchanged(self, rng):
+        indexed = index_corpus(toy_corpus())
+        w = rng.standard_normal(indexed.index.size)
+        w_before = w.copy()
+        before = {name: getattr(indexed, name).copy() for name in self.ARRAYS}
+        for _ in range(2):
+            _, grad = objective_and_gradient(w, indexed, 10.0)
+            grad += 1.0  # the caller owns the gradient
+            assert np.array_equal(w, w_before)
+            for name in self.ARRAYS:
+                assert np.array_equal(getattr(indexed, name), before[name]), name
+                assert getattr(indexed, name).dtype == before[name].dtype, name
+
+    def test_second_evaluation_is_bit_equal(self, rng):
+        indexed = index_corpus(toy_corpus())
+        for w in (np.zeros(indexed.index.size), rng.standard_normal(indexed.index.size)):
+            value, grad = objective_and_gradient(w, indexed, 10.0)
+            again, grad_again = objective_and_gradient(w, indexed, 10.0)
+            assert again == value
+            assert np.array_equal(grad_again, grad)
+            # and equal to a corpus that builds its bins afresh
+            fresh, grad_fresh = objective_and_gradient(w, index_corpus(toy_corpus()), 10.0)
+            assert fresh == value
+            assert np.array_equal(grad_fresh, grad)
+
+
 class TestFinalObjective:
     """train reuses the optimizer's last evaluation for the final objective."""
 
@@ -154,7 +191,7 @@ class TestFinalObjective:
 class TestExactSums:
     """The numpy sums add in pair order from 0, as a plain loop does."""
 
-    def test_state_scores_and_expected_counts_equal_loops(self, rng):
+    def test_state_scores_and_expected_counts_equal_loops(self, rng, monkeypatch):
         indexed = index_corpus(toy_corpus())
         L, n = indexed.index.n_labels, indexed.token_count()
         w = rng.standard_normal(indexed.index.size)
@@ -169,16 +206,26 @@ class TestExactSums:
         got = _state_scores(w, indexed.index, indexed.rows, indexed.cols, n)
         assert np.array_equal(got, state)
 
-        node, edge, _ = _forward_backward(got, w[: L * L].reshape(L, L), indexed.offsets)
-        counts = np.zeros_like(W)
-        for t, c in zip(rows, cols):
-            for y in range(L):
-                counts[c, y] += node[t, y]
-        expected = np.concatenate([edge.sum(axis=0).ravel(), counts.ravel()])
-        expected -= indexed.empirical
-        expected += w / 10.0
-        _, grad = objective_and_gradient(w, indexed, 10.0)
-        assert np.array_equal(grad, expected)
+        # the objective's own state scores and marginals, from its stored bins
+        seen = []
+
+        def recorded(state, trans, offsets):
+            seen.append((state.copy(), *_forward_backward(state, trans, offsets)))
+            return seen[-1][1:]
+
+        monkeypatch.setattr(trainer, "_forward_backward", recorded)
+        for _ in range(2):  # the first call builds the bins, the second reuses them
+            _, grad = objective_and_gradient(w, indexed, 10.0)
+            objective_state, node, edge, _ = seen[-1]
+            assert np.array_equal(objective_state, state)
+            counts = np.zeros_like(W)
+            for t, c in zip(rows, cols):
+                for y in range(L):
+                    counts[c, y] += node[t, y]
+            expected = np.concatenate([edge.sum(axis=0).ravel(), counts.ravel()])
+            expected -= indexed.empirical
+            expected += w / 10.0
+            assert np.array_equal(grad, expected)
 
     def test_unknown_attributes_score_zero(self, rng):
         indexed = index_corpus(toy_corpus(), catalogue=LEAN)
@@ -264,6 +311,57 @@ class TestOptimizer:
         assert report.iterations == 1
         assert np.array_equal(model.weights, points[1])
         assert report.final_objective == report.history[0][0]
+
+
+class TestStopReason:
+    def test_max_iterations(self):
+        corpus = cyclic_ambiguous_corpus(60, seed=3, noise=0.1)
+        _, report = train(corpus, catalogue=LEAN, config=TrainConfig(max_iterations=8))
+        assert report.iterations == 8
+        assert report.stop_reason is StopReason.MAX_ITERATIONS
+
+    def test_zero_iterations_is_max_iterations(self):
+        _, report = train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=0))
+        assert report.stop_reason is StopReason.MAX_ITERATIONS
+
+    def test_converged(self):
+        corpus = cyclic_ambiguous_corpus(40, seed=11, noise=0.05)
+        config = TrainConfig()
+        _, report = train(corpus, catalogue=LEAN, config=config)
+        assert report.stop_reason is StopReason.CONVERGED
+        assert 2 <= report.iterations < config.max_iterations
+        values = [value for value, _ in report.history]
+        relative = [(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
+        assert relative[-1] <= config.tolerance < min(relative[:-1])
+
+    def test_zero_gradient(self):
+        corpus = make_corpus(make_sentence(("a", "en", "N"), ("b", "en", "N")),
+                             make_sentence(("c", "en", "N"),))
+        indexed = index_corpus(corpus)
+        _, grad = objective_and_gradient(np.zeros(indexed.index.size), indexed, 10.0)
+        assert np.max(np.abs(grad)) <= GRADIENT_TOLERANCE
+        for max_iterations in (0, 200):
+            _, report = train(corpus, config=TrainConfig(max_iterations=max_iterations))
+            assert report.stop_reason is StopReason.ZERO_GRADIENT
+
+    def test_no_step(self, monkeypatch):
+        objective = trainer.objective_and_gradient
+        calls = []
+
+        def rising(w, *args):
+            value, grad = objective(w, *args)
+            calls.append(1)
+            return (value if len(calls) <= 2 else value + 1e3), grad
+
+        monkeypatch.setattr(trainer, "objective_and_gradient", rising)
+        _, report = train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=8))
+        assert report.iterations == 1
+        assert report.stop_reason is StopReason.NO_STEP
+
+    def test_values_are_their_names(self):
+        assert [reason.value for reason in StopReason] == [
+            "max_iterations", "converged", "zero_gradient", "no_step",
+        ]
 
 
 class TestTrain:

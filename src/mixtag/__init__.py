@@ -38,17 +38,8 @@ from .features import (
     FeatureCatalogue,
     LexiconError,
     NormalizationLexicon,
-    affixes,
-    collapse_vowel_runs,
-    context_composites,
-    extract_attributes,
     extract_sentence_attributes,
-    language_composite,
-    length_bucket,
     load_lexicon,
-    normalize_short_form,
-    ortho_flags,
-    vowel_count,
 )
 from .tagging import tag_corpus, tag_sentence
 from .trainer import (

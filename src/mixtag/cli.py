@@ -13,7 +13,7 @@ from . import corpus as corpus_mod
 from . import trainer
 from .corpus import CorpusError, decode_text, merge_corpora, parse_corpus, write_corpus
 from .crf import ModelFormatError, load_model, save_model
-from .evaluation import EvaluationError, evaluate, format_score, render_report
+from .evaluation import evaluate, format_score, render_report
 from .features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
@@ -68,29 +68,23 @@ def _load_lexicon_arg(path: str | None):
         raise LexiconError(f"{path}: {exc}") from None
 
 
-def _catalogue_from_args(disabled: list[str]) -> FeatureCatalogue:
-    catalogue = FeatureCatalogue()
-    if disabled:
-        catalogue = catalogue.without(*disabled)
-    return catalogue
-
-
 def cmd_train(args) -> int:
-    lexicon = _load_lexicon_arg(args.lexicon)
+    # option values are checked before any file is read
     try:
-        catalogue = _catalogue_from_args(args.disable_feature)
+        catalogue = FeatureCatalogue().without(*args.disable_feature)
+        config = trainer.TrainConfig(
+            cutoff=args.cutoff,
+            l2_sigma2=args.sigma2,
+            max_iterations=args.max_iter,
+            tolerance=args.tol,
+        )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    lexicon = _load_lexicon_arg(args.lexicon)
     parts = [_parse_file(path, corpus_mod.TRAIN3COL) for path in args.train]
     merged = merge_corpora(parts)
     if len(merged) == 0:
         raise CorpusError("training data contains no sentences")
-    config = trainer.TrainConfig(
-        cutoff=args.cutoff,
-        l2_sigma2=args.sigma2,
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-    )
     try:
         model, report = trainer.train(merged, lexicon, catalogue, config)
     except trainer.TrainingError as exc:
@@ -229,12 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, LexiconError, EvaluationError, ModelFormatError, ValueError) as exc:
+    except ValueError as exc:  # CorpusError, LexiconError, ModelFormatError, ...
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FloatingPointError as exc:
-        print(f"mixtag: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -132,14 +132,21 @@ def _sum_pairs(bins: np.ndarray, src: np.ndarray, values: np.ndarray, n: int) ->
     return np.bincount(bins, weights=terms.ravel(), minlength=n * L).reshape(n, L)
 
 
-def _state_scores(weights: np.ndarray, index: FeatureIndex, rows, cols, tokens: int) -> np.ndarray:
-    """Per-token label scores, shape (tokens, L), all finite: the W_state
-    rows of each token's pairs, summed."""
-    L = index.n_labels
-    state = _sum_pairs(_pair_bins(rows, L), cols, weights[L * L:].reshape(-1, L), tokens)
-    if not np.all(np.isfinite(state)):
+def _scores(
+    weights: np.ndarray, n_labels: int, bins: np.ndarray, cols: np.ndarray, tokens: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """State scores (tokens, L) and transition scores (L, L), all finite.
+
+    A token's state scores sum the W_state rows of its pairs; ``bins`` is
+    ``_pair_bins(rows, L)`` of the pairs' tokens.  Training, lattices and
+    ``tag_corpus`` all score through here.
+    """
+    L = n_labels
+    trans = weights[: L * L].reshape(L, L)
+    state = _sum_pairs(bins, cols, weights[L * L:].reshape(-1, L), tokens)
+    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
         raise ValueError("non-finite lattice score")
-    return state
+    return state, trans
 
 
 @dataclass
@@ -161,6 +168,10 @@ class Model:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if len(self.labels) != self.index.n_labels:
+            raise ValueError(
+                f"{len(self.labels)} labels do not match the index's {self.index.n_labels}"
+            )
         if self.weights.shape != (self.index.size,):
             raise ValueError(
                 f"weight count {self.weights.shape} does not match "
@@ -262,8 +273,8 @@ def build_lattice(model: Model, attrs: Sequence[tuple[str, ...]]) -> Lattice:
     if not attrs:
         raise ValueError("attribute sequence must be nonempty")
     L = len(model.labels)
-    state = _state_scores(model.weights, model.index, *model.index.compile(attrs), len(attrs))
-    return Lattice(state, model.weights[: L * L].reshape(L, L))
+    rows, cols = model.index.compile(attrs)
+    return Lattice(*_scores(model.weights, L, _pair_bins(rows, L), cols, len(attrs)))
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -397,20 +408,6 @@ def posterior_marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """
     node, edge, _ = _forward_backward(lattice.state, lattice.trans, np.array([0, lattice.T]))
     return node, edge
-
-
-def sequence_score(lattice: Lattice, label_ids: Sequence[int]) -> float:
-    """Unnormalized path score: state terms plus transitions for t >= 2."""
-    if len(label_ids) != lattice.T:
-        raise ValueError("label sequence length does not match lattice")
-    score = 0.0
-    prev = None
-    for t, y in enumerate(label_ids):
-        score += lattice.state[t, y]
-        if prev is not None:
-            score += lattice.trans[prev, y]
-        prev = y
-    return float(score)
 
 
 def viterbi_lattice(lattice: Lattice) -> tuple[list[int], float]:

@@ -90,9 +90,6 @@ class NormalizationLexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._entries.get(key, default)
 
@@ -264,14 +261,6 @@ def _fired_flags(s: str) -> list[str]:
     return fired
 
 
-def ortho_flags(surface: str) -> dict[str, bool]:
-    """Evaluate every orthographic/punctuation flag on a nonempty token."""
-    if not surface:
-        raise ValueError("surface must be nonempty")
-    fired = _fired_flags(surface)
-    return {name: name in fired for name in ORTHO_FLAG_NAMES}
-
-
 def vowel_count(surface: str) -> int:
     """Count of a/e/i/o/u characters, case-insensitive ('y' excluded)."""
     return sum(map(VOWELS.__contains__, surface))
@@ -336,19 +325,6 @@ def _context(words: list[str], i: int) -> tuple[str, ...]:
     )
 
 
-def context_composites(sentence: Sentence, i: int) -> tuple[str, ...]:
-    """Window-of-5 unigrams plus the four word-pair composites."""
-    if not 0 <= i < len(sentence):
-        raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
-    return _context(_padded_words(sentence), i)
-
-
-def language_composite(token: Token) -> tuple[str, str]:
-    """Language-code attribute and the language|word composite."""
-    lang = escape_value(token.lang)
-    return (f"LANG={lang}", f"LANGW={lang}|{_escape_surface(token.surface)}")
-
-
 def _token_attributes(
     token: Token, lexicon: NormalizationLexicon, catalogue: FeatureCatalogue
 ) -> tuple[str, ...]:
@@ -357,7 +333,8 @@ def _token_attributes(
     surface = token.surface
     attrs: list[str] = []
     if catalogue.language:
-        attrs += language_composite(token)
+        lang = escape_value(token.lang)
+        attrs += (f"LANG={lang}", f"LANGW={lang}|{_escape_surface(surface)}")
     if catalogue.ortho:
         attrs += ["FLAG=" + name for name in _fired_flags(surface)]
     if catalogue.vowel_count:
@@ -380,33 +357,18 @@ def _token_attributes(
     return tuple(attrs)
 
 
-def extract_attributes(
-    sentence: Sentence,
-    i: int,
-    lexicon: NormalizationLexicon = EMPTY_LEXICON,
-    catalogue: FeatureCatalogue = FeatureCatalogue(),
-) -> tuple[str, ...]:
-    """Build the full attribute set for one token position.
-
-    Families are emitted in a fixed order, the context composites first;
-    every family has its own ``NAME=`` prefix, so the result is
-    deterministic and duplicate-free.
-    """
-    if not 0 <= i < len(sentence):
-        raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
-    context = context_composites(sentence, i) if catalogue.context else ()
-    return context + _token_attributes(sentence[i], lexicon, catalogue)
-
-
 def extract_corpus_attributes(
     sentences: Iterable[Sentence],
     lexicon: NormalizationLexicon = EMPTY_LEXICON,
     catalogue: FeatureCatalogue = FeatureCatalogue(),
 ) -> Iterator[list[tuple[str, ...]]]:
-    """Yield ``extract_attributes`` at every position, one list per sentence.
+    """Yield the attribute set of every position, one list per sentence.
 
-    The token-local families are built once per distinct (surface, language)
-    pair in the call, and each sentence's words are escaped once.
+    Families are emitted in a fixed order, the context composites first;
+    every family has its own ``NAME=`` prefix, so each set is deterministic
+    and duplicate-free.  The token-local families are built once per
+    distinct (surface, language) pair in the call, and each sentence's
+    words are escaped once.
     """
     memo: dict[tuple[str, str], tuple[str, ...]] = {}
     for sentence in sentences:

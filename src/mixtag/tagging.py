@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import Corpus, Sentence, Token
-from .crf import Model, _state_scores, _viterbi, viterbi
+from .crf import Model, _pair_bins, _scores, _viterbi, viterbi
 from .features import (
     FeatureCatalogue,
     NormalizationLexicon,
@@ -58,9 +58,10 @@ def tag_corpus(
     # streamed into compile, so no token's attribute strings outlive its row
     attrs = chain.from_iterable(extract_corpus_attributes(corpus, lexicon, catalogue))
     offsets = np.cumsum([0, *map(len, corpus)])
-    state = _state_scores(model.weights, model.index, *model.index.compile(attrs), offsets[-1])
     L = len(model.labels)
-    label_ids, _ = _viterbi(state, model.weights[: L * L].reshape(L, L), offsets)
+    rows, cols = model.index.compile(attrs)
+    state, trans = _scores(model.weights, L, _pair_bins(rows, L), cols, offsets[-1])
+    label_ids, _ = _viterbi(state, trans, offsets)
     labels = [model.labels[y] for y in label_ids.tolist()]
     return Corpus(
         tuple(

@@ -25,6 +25,7 @@ from .crf import (
     index_features,
     _forward_backward,
     _pair_bins,
+    _scores,
     _sum_pairs,
 )
 from .features import (
@@ -55,11 +56,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if self.l2_sigma2 <= 0:
+        if not self.l2_sigma2 > 0:  # also rejects NaN
             raise ValueError("l2_sigma2 must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
 
@@ -87,8 +88,8 @@ class IndexedCorpus:
 
     Tokens of all sentences are stacked in corpus order.  ``rows`` and
     ``cols`` are the (token, attribute row) pairs from
-    ``FeatureIndex.compile``, so the objective sums the state scores of the
-    tokens exactly as tagging's ``_state_scores`` does.  Sentence s covers
+    ``FeatureIndex.compile``, and the objective scores them through
+    ``crf._scores``, as tagging does.  Sentence s covers
     tokens ``offsets[s]:offsets[s + 1]``.  ``empirical`` holds the gold
     feature count of every parameter slot.  The ``_sum_pairs`` bins of both
     pair directions depend on the corpus alone; each is built on first use
@@ -162,17 +163,13 @@ def objective_and_gradient(
     """
     L = corpus.index.n_labels
     weights = np.asarray(weights, dtype=np.float64)
-    trans = weights[: L * L].reshape(L, L)
-    W = weights[L * L:].reshape(-1, L)
-    state = _sum_pairs(corpus.state_bins, corpus.cols, W, corpus.token_count())
-    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
-        raise ValueError("non-finite lattice score")
+    state, trans = _scores(weights, L, corpus.state_bins, corpus.cols, corpus.token_count())
     node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
 
     value = float(log_z.sum()) - float(np.dot(weights, corpus.empirical))
     value += float(np.dot(weights, weights)) / (2.0 * l2_sigma2)
     # expected counts, laid out as the weights; no pair lands in the first L*L
-    grad = _sum_pairs(corpus.count_bins, corpus.rows, node, L + len(W)).ravel()
+    grad = _sum_pairs(corpus.count_bins, corpus.rows, node, corpus.index.size // L).ravel()
     grad[: L * L] = edge.sum(axis=0).ravel()
     grad -= corpus.empirical
     grad += weights / l2_sigma2

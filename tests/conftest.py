@@ -6,6 +6,13 @@ from hypothesis import strategies as st
 
 from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import FeatureIndex, LabelSet, Lattice, Model
+from mixtag.features import (
+    EMPTY_LEXICON,
+    FeatureCatalogue,
+    _context,
+    _padded_words,
+    _token_attributes,
+)
 
 
 def make_sentence(*items) -> Sentence:
@@ -15,6 +22,18 @@ def make_sentence(*items) -> Sentence:
 
 def make_corpus(*sentences) -> Corpus:
     return Corpus(tuple(sentences))
+
+
+def position_attributes(
+    sentence: Sentence,
+    i: int,
+    lexicon=EMPTY_LEXICON,
+    catalogue: FeatureCatalogue = FeatureCatalogue(),
+) -> tuple[str, ...]:
+    """Position i's attribute set, built without the corpus extractor's
+    (surface, language) memo: the reference that the memo is held to."""
+    context = _context(_padded_words(sentence), i) if catalogue.context else ()
+    return context + _token_attributes(sentence[i], lexicon, catalogue)
 
 
 def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:

@@ -13,6 +13,9 @@ import numpy as np
 
 
 def seq_score(state, trans, seq) -> float:
+    """Unnormalized path score: state terms plus transitions for t >= 2."""
+    if len(seq) != len(state):
+        raise ValueError("label sequence length does not match the lattice")
     score = 0.0
     prev = None
     for t, y in enumerate(seq):

@@ -11,9 +11,10 @@ import mixtag
 from mixtag.cli import main
 from mixtag.corpus import TRAIN3COL, TEST2COL, parse_corpus, write_corpus
 from mixtag.crf import load_model
-from mixtag.features import EMPTY_LEXICON, FeatureCatalogue, extract_attributes, load_lexicon
+from mixtag.features import EMPTY_LEXICON, FeatureCatalogue, extract_sentence_attributes, load_lexicon
 from mixtag.tagging import tag_corpus, tag_sentence
 
+from conftest import position_attributes
 from datagen import separable_corpus, strip_labels
 from v1format import save_v1
 
@@ -109,6 +110,26 @@ class TestTrain:
         )
         assert code == 1
         assert "nope" in err
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--cutoff", "0", "cutoff must be >= 1"),
+        ("--max-iter", "-1", "max_iterations must be >= 0"),
+        ("--sigma2", "-1", "l2_sigma2 must be positive"),
+        ("--sigma2", "nan", "l2_sigma2 must be positive"),
+        ("--tol", "nan", "tolerance must be positive"),
+        ("--disable-feature", "nope", "unknown feature family 'nope'"),
+    ])
+    def test_bad_option_value_is_usage_error(self, workdir, capsys, option, value, message):
+        # the lexicon does not exist: option values are checked before any file is read
+        model = workdir / "m.txt"
+        code, _, err = run(
+            ["train", "--train", str(workdir / "train.txt"), "--lexicon", str(workdir / "none.tsv"),
+             "--model", str(model), option, value],
+            capsys,
+        )
+        assert code == 1
+        assert message in err
+        assert not model.exists()
 
     def test_disable_feature_accepted(self, workdir, capsys):
         code, _, _ = run(
@@ -277,8 +298,9 @@ class TestFeatures:
         assert "token 0" not in out
 
     def test_every_position_equals_extract_attributes(self, tmp_path, capsys):
-        # a repeated surface, a backslash surface and a backslash lexicon entry
-        text = "a\\b\tbn\nok\ten\na\\b\tbn\n\nok\ten\nok\ten\n"
+        # a repeated surface, one under two language tags, a backslash
+        # surface and a backslash lexicon entry
+        text = "a\\b\tbn\nok\ten\na\\b\tbn\n\nok\ten\nok\ten\nok\tbn\n"
         path = tmp_path / "in.txt"
         path.write_text(text, encoding="utf-8")
         lex = tmp_path / "lex.tsv"
@@ -290,7 +312,7 @@ class TestFeatures:
         for s, sentence in enumerate(parse_corpus(text, TEST2COL)):
             for t in range(len(sentence)):
                 expected.append(f"# sentence {s} token {t}: {sentence[t].surface}")
-                expected.extend(extract_attributes(sentence, t, lexicon))
+                expected.extend(position_attributes(sentence, t, lexicon))
         assert out == "\n".join(expected) + "\n"
         assert "NORM=c\\\\d" in expected and "W-1=a\\\\b" in expected
 
@@ -476,8 +498,8 @@ class TestModelFeatures:
         assert code == 0, err
         attrs = out.split("\n")[1:-1]
         source = parse_corpus(LEXICON_TEST_TEXT, TEST2COL)
-        assert attrs == list(extract_attributes(
-            source.sentences[1], 1, load_lexicon(LEXICON_TEXT), FeatureCatalogue().without("affixes")))
+        assert attrs == list(extract_sentence_attributes(
+            source.sentences[1], load_lexicon(LEXICON_TEXT), FeatureCatalogue().without("affixes"))[1])
         assert "NORM=kor" in attrs
         assert not any(a.startswith("P1=") for a in attrs)
 

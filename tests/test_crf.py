@@ -20,7 +20,6 @@ from mixtag.crf import (
     log_partition,
     posterior_marginals,
     save_model,
-    sequence_score,
     viterbi,
     viterbi_lattice,
 )
@@ -105,6 +104,13 @@ class TestFeatureIndex:
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             index_features([], LabelSet(["A"]))
+
+
+class TestModel:
+    def test_label_count_must_match_index(self):
+        # such a model used to build, then fail to tag and save a file load_model rejects
+        with pytest.raises(ValueError, match="2 labels do not match the index's 3"):
+            Model(LabelSet(["A", "B"]), FeatureIndex(3, ["W0=a"]), np.zeros(12))
 
 
 class TestBuildLattice:
@@ -256,7 +262,7 @@ def log_prob(model, attrs, labels):
     """log P(y | x) of one labeling: path score minus log Z."""
     lattice = build_lattice(model, attrs)
     label_ids = [model.labels.index(y) for y in labels]
-    return sequence_score(lattice, label_ids) - log_partition(lattice)
+    return oracles.seq_score(lattice.state, lattice.trans, label_ids) - log_partition(lattice)
 
 
 class TestSequenceLogProb:
@@ -326,7 +332,7 @@ class TestViterbi:
         state, trans = oracles.random_dyadic_lattice(rng, 5, 4)
         lat = Lattice(state, trans)
         path, score = viterbi_lattice(lat)
-        assert sequence_score(lat, path) == pytest.approx(score, rel=1e-12)
+        assert oracles.seq_score(state, trans, path) == pytest.approx(score, rel=1e-12)
 
 
 class TestBatchedViterbi:

@@ -10,30 +10,40 @@ from mixtag.features import (
     LexiconError,
     ORTHO_FLAG_NAMES,
     NormalizationLexicon,
+    _fired_flags,
     _token_attributes,
     affixes,
     collapse_vowel_runs,
-    context_composites,
     escape_value,
-    extract_attributes,
     extract_corpus_attributes,
-    language_composite,
+    extract_sentence_attributes,
     length_bucket,
     load_lexicon,
     normalize_short_form,
-    ortho_flags,
     unescape_value,
     vowel_count,
 )
 from mixtag.corpus import Token, decode_text
 
 import datagen
-from conftest import apply_byte_edits, byte_edits, make_sentence
+from conftest import apply_byte_edits, byte_edits, make_sentence, position_attributes
 
 # the default catalogue and every catalogue with one family disabled
 ONE_OFF_CATALOGUES = [FeatureCatalogue()] + [
     FeatureCatalogue().without(name) for name in FeatureCatalogue.family_names()
 ]
+
+
+def only(family):
+    """The catalogue with just ``family`` enabled."""
+    return FeatureCatalogue().without(*(n for n in FeatureCatalogue.family_names() if n != family))
+
+
+def ortho_flags(surface):
+    """Every flag name mapped to whether it fires on ``surface``."""
+    fired = _fired_flags(surface)
+    return {name: name in fired for name in ORTHO_FLAG_NAMES}
+
 
 words = st.text(
     st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)),
@@ -50,7 +60,7 @@ flag_words = st.text(
 
 # The token-local builder as it was written before the set-based rewrite:
 # one predicate per flag, every value escaped, the helpers spelled out.
-# The tests below hold ``_token_attributes`` and ``ortho_flags`` to it.
+# The tests below hold ``_token_attributes`` and ``_fired_flags`` to it.
 _LETTERS = frozenset(string.ascii_letters)
 _DIGITS = frozenset(string.digits)
 _PUNCT = frozenset(string.punctuation)
@@ -143,7 +153,8 @@ def reference_token_attributes(token, lexicon, catalogue):
 
 
 def assert_builder_equals_reference(surface, lang, lexicons):
-    assert ortho_flags(surface) == reference_ortho_flags(surface)
+    reference = reference_ortho_flags(surface)
+    assert _fired_flags(surface) == [name for name, fired in reference.items() if fired]
     token = Token(surface, lang)
     for catalogue in ONE_OFF_CATALOGUES:
         for lexicon in lexicons:
@@ -385,7 +396,7 @@ class TestAffixes:
 class TestContext:
     def test_middle_of_three(self):
         s = make_sentence(("a", "bn"), ("b", "bn"), ("c", "bn"))
-        assert context_composites(s, 1) == (
+        assert extract_sentence_attributes(s, catalogue=only("context"))[1] == (
             "W-2=<S>",
             "W-1=a",
             "W0=b",
@@ -399,18 +410,13 @@ class TestContext:
 
     def test_single_token_all_sentinels(self):
         s = make_sentence(("x", "bn"))
-        attrs = context_composites(s, 0)
+        attrs = extract_sentence_attributes(s, catalogue=only("context"))[0]
         assert "W-1=<S>" in attrs and "W+1=</S>" in attrs
         assert "W-2=<S>" in attrs and "W+2=</S>" in attrs
 
-    def test_out_of_range(self):
-        s = make_sentence(("a", "bn"), ("b", "bn"), ("c", "bn"))
-        with pytest.raises(IndexError):
-            context_composites(s, 3)
-
     def test_backslash_escaped(self):
         s = make_sentence(("a\\b", "bn"), ("c", "bn"))
-        attrs = context_composites(s, 1)
+        attrs = extract_sentence_attributes(s, catalogue=only("context"))[1]
         assert "W-1=a\\\\b" in attrs and "W-1W0=a\\\\b|c" in attrs
 
 
@@ -420,7 +426,7 @@ class TestLanguageComposite:
         [("khub", "bn"), ("@user", "univ"), ("Modi", "ne")],
     )
     def test_pairs(self, surface, lang):
-        assert language_composite(Token(surface, lang)) == (
+        assert _token_attributes(Token(surface, lang), EMPTY_LEXICON, only("language")) == (
             f"LANG={lang}",
             f"LANGW={lang}|{surface}",
         )
@@ -429,12 +435,12 @@ class TestLanguageComposite:
 class TestExtract:
     def test_collapsed_vowel_attribute(self):
         s = make_sentence(("Khuuuuuub", "bn"))
-        assert "CVR=Khub" in extract_attributes(s, 0)
+        assert "CVR=Khub" in extract_sentence_attributes(s)[0]
 
     def test_normalized_attribute(self):
         lex = load_lexicon("krte\tkorte\n")
         s = make_sentence(("krte", "bn"))
-        assert "NORM=korte" in extract_attributes(s, 0, lexicon=lex)
+        assert "NORM=korte" in extract_sentence_attributes(s, lexicon=lex)[0]
 
     def test_length_only_catalogue(self):
         cat = FeatureCatalogue().without(
@@ -442,11 +448,11 @@ class TestExtract:
             "vowel_collapse", "normalization", "affixes",
         )
         s = make_sentence(("khub", "bn"))
-        assert extract_attributes(s, 0, catalogue=cat) == ("LEN=L_4",)
+        assert extract_sentence_attributes(s, catalogue=cat)[0] == ("LEN=L_4",)
 
     def test_deterministic(self):
         s = make_sentence(("a", "bn"), ("bb", "en"))
-        assert extract_attributes(s, 1) == extract_attributes(s, 1)
+        assert extract_sentence_attributes(s) == extract_sentence_attributes(s)
 
     def test_all_families_disabled_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +461,7 @@ class TestExtract:
     @given(words, words)
     def test_no_tabs_or_newlines_in_attributes(self, w1, w2):
         s = make_sentence((w1, "bn"), (w2, "en"))
-        for attr in extract_attributes(s, 0):
+        for attr in extract_sentence_attributes(s)[0]:
             assert "\t" not in attr and "\n" not in attr
 
     @given(words)
@@ -468,8 +474,7 @@ class TestExtract:
         for catalogue in ONE_OFF_CATALOGUES:
             for lex in (EMPTY_LEXICON, lexicon):
                 for sentence in sentences:
-                    for i in range(len(sentence)):
-                        attrs = extract_attributes(sentence, i, lex, catalogue)
+                    for attrs in extract_sentence_attributes(sentence, lex, catalogue):
                         assert len(attrs) == len(set(attrs))
 
     @pytest.mark.parametrize("catalogue", ONE_OFF_CATALOGUES, ids=FeatureCatalogue.fingerprint)
@@ -483,7 +488,7 @@ class TestExtract:
         lexicon = load_lexicon("a1\tu1\nx\\y\tz\n")
         got = list(extract_corpus_attributes(sentences, lexicon, catalogue))
         assert got == [
-            [extract_attributes(s, i, lexicon, catalogue) for i in range(len(s))]
+            [position_attributes(s, i, lexicon, catalogue) for i in range(len(s))]
             for s in sentences
         ]
 

@@ -8,10 +8,10 @@ from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import (
     Model,
     _forward_backward,
-    _state_scores,
+    _pair_bins,
+    _scores,
     build_lattice,
     log_partition,
-    sequence_score,
 )
 from mixtag.features import FeatureCatalogue, extract_sentence_attributes
 from mixtag.trainer import (
@@ -23,6 +23,7 @@ from mixtag.trainer import (
     train,
 )
 
+import oracles
 from conftest import make_corpus, make_sentence
 from datagen import cyclic_ambiguous_corpus
 
@@ -104,7 +105,7 @@ class TestBatchedObjective:
         for sentence in corpus:
             lattice = build_lattice(model, extract_sentence_attributes(sentence, catalogue=LEAN))
             gold = [indexed.labels.index(token.pos) for token in sentence]
-            expected += log_partition(lattice) - sequence_score(lattice, gold)
+            expected += log_partition(lattice) - oracles.seq_score(lattice.state, lattice.trans, gold)
         value, _ = objective_and_gradient(w, indexed, 10.0)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -203,8 +204,9 @@ class TestExactSums:
         for t, c in zip(rows, cols):
             for y in range(L):
                 state[t, y] += W[c, y]
-        got = _state_scores(w, indexed.index, indexed.rows, indexed.cols, n)
+        got, trans = _scores(w, L, _pair_bins(indexed.rows, L), indexed.cols, n)
         assert np.array_equal(got, state)
+        assert np.array_equal(trans, w[: L * L].reshape(L, L))
 
         # the objective's own state scores and marginals, from its stored bins
         seen = []
@@ -233,11 +235,19 @@ class TestExactSums:
         rows, cols = indexed.index.compile([("?",), (known[2], "?", known[0]), (), ("?",)])
         assert rows.tolist() == [1, 1] and cols.tolist() == [2, 0]
         w = rng.standard_normal(indexed.index.size)
-        state = _state_scores(w, indexed.index, rows, cols, 4)
         L = indexed.index.n_labels
+        state, _ = _scores(w, L, _pair_bins(rows, L), cols, 4)
         W = w[L * L:].reshape(-1, L)
         assert np.array_equal(state[[0, 2, 3]], np.zeros((3, L)))
         assert np.array_equal(state[1], 0.0 + W[2] + W[0])
+
+    @pytest.mark.parametrize("slot", [0, -1], ids=["transition", "state"])
+    def test_non_finite_weight_is_rejected(self, slot):
+        indexed = index_corpus(toy_corpus(), catalogue=LEAN)
+        w = np.zeros(indexed.index.size)
+        w[slot] = np.inf
+        with pytest.raises(ValueError, match="non-finite lattice score"):
+            objective_and_gradient(w, indexed, 10.0)
 
 
 # Recorded with scipy 1.17.1 (numpy 2.4.6), from scipy.optimize.minimize's
@@ -428,10 +438,17 @@ class TestConfig:
         [
             {"cutoff": 0},
             {"l2_sigma2": 0.0},
+            {"l2_sigma2": float("nan")},
             {"max_iterations": -1},
             {"tolerance": 0.0},
+            {"tolerance": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_infinite_sigma2_and_tolerance_accepted(self):
+        # sigma^2 = inf is no penalty; tolerance = inf stops after one step
+        config = TrainConfig(l2_sigma2=float("inf"), tolerance=float("inf"))
+        assert config.l2_sigma2 == config.tolerance == float("inf")

@@ -1,11 +1,13 @@
 """Linear-chain CRF machinery.
 
-Feature indexing and compilation, log-space lattices, forward-backward
-(partition function and posterior marginals), Viterbi decoding, and
-line-oriented model persistence.  State features conjoin a position's
-attributes with its label; transition features are dense label bigrams
-applied between positions t-1 and t for t >= 2 (the first position carries
-state features only).
+Feature indexing and compilation, lattices of log-space scores,
+forward-backward (partition function and posterior marginals; scaled in
+probability space, with a log-space recursion where the transition scores
+span too widely for exp), max-plus Viterbi decoding, and line-oriented
+model persistence.  State features conjoin a position's attributes with
+its label; transition features are dense label bigrams applied between
+positions t-1 and t for t >= 2 (the first position carries state features
+only).
 """
 
 from __future__ import annotations
@@ -234,6 +236,8 @@ class Lattice:
         self.trans = np.asarray(self.trans, dtype=np.float64)
         if self.state.ndim != 2 or self.trans.shape != (self.L, self.L):
             raise ValueError("inconsistent lattice dimensions")
+        if self.T == 0:
+            raise ValueError("a lattice needs at least one position")
         if not (np.all(np.isfinite(self.state)) and np.all(np.isfinite(self.trans))):
             raise ValueError("non-finite lattice score")
 
@@ -283,6 +287,17 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
+# The widest transition score span, in nats, that the scaled forward-backward
+# takes.  Within it every step's normalizer is at least exp(-span), and what
+# follows a position weighs at most exp(span) more after one label than after
+# another, so the floats' absolute underflow, about exp(-745), moves a
+# marginal by at most about L * exp(2 * span - 745): 1e-63 at 300.  A state
+# row may span any width; its scores more than 745 nats below the row's
+# maximum underflow in E, the same absolute loss.  Wider transition spans let
+# a path lost to underflow carry most of the mass later.
+_SCALED_SPAN = 300.0
+
+
 def _pack(offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     """Time-major layout of a batch of sentences, shared by the recursions.
 
@@ -319,7 +334,7 @@ def _pack(offsets: np.ndarray) -> tuple[np.ndarray, ...]:
 def _forward_backward(
     state: np.ndarray, trans: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-space forward-backward over a batch of sentences at once.
+    """Forward-backward over a batch of sentences at once.
 
     ``state`` stacks the tokens of all sentences, sentence s covering rows
     ``offsets[s]:offsets[s + 1]``; the recursion steps through the
@@ -328,7 +343,63 @@ def _forward_backward(
     Returns node marginals (tokens, L) in the input row order, edge
     marginals (T_max - 1, L, L) in which edge[t, y_prev, y] sums
     P(y_t = y_prev, y_{t+1} = y | x) over the batch, and log Z per sentence.
+
+    The recursion runs in probability space, scaled at every step (Rabiner
+    1989).  With E = exp(state less each row's maximum) and P = exp(trans
+    less its maximum), forward step t is (alpha_{t-1} @ P) * E_t divided by
+    its row sums c_t, backward step t is (E * beta / c)_{t+1} @ P.T, and
+    log Z sums log c and the shifts.  It is exact to rounding while the
+    transition scores span at most ``_SCALED_SPAN``; a wider batch runs
+    through ``_log_forward_backward`` instead.
     """
+    top = trans.max()
+    if trans.min() < top - _SCALED_SPAN:
+        return _log_forward_backward(state, trans, offsets)
+    order, active, start, rows, slot = _pack(offsets)
+    B, L, T = len(order), trans.shape[0], len(active)
+    e = state[rows]
+    shift = e.max(axis=1)
+    np.exp(np.subtract(e, shift[:, None], out=e), out=e)
+    p = np.exp(trans - top)
+
+    # alpha[r]: forward weights of packed row r, divided by c[r] to sum to 1
+    alpha = e.copy()
+    c = np.empty(len(rows))
+    for t in range(T):
+        n, cur = active[t], start[t]
+        step = alpha[cur:cur + n]
+        if t:
+            prev = start[t - 1]
+            np.multiply(alpha[prev:prev + n] @ p, e[cur:cur + n], out=step)
+        c[cur:cur + n] = step.sum(axis=1)
+        step /= c[cur:cur + n, None]
+
+    # to_next[r]: E * beta / c of row r, where beta is 1 at each sentence's
+    # last row and scaled by the c of every later row
+    to_next = np.divide(e, c[:, None], out=e)
+    beta = np.ones_like(alpha)
+    edge = np.empty((T - 1, L, L))
+    for t in range(T - 2, -1, -1):
+        n, cur, nxt = active[t + 1], start[t], start[t + 1]
+        np.matmul(to_next[nxt:nxt + n], p.T, out=beta[cur:cur + n])
+        to_next[cur:cur + n] *= beta[cur:cur + n]
+        np.multiply(alpha[cur:cur + n].T @ to_next[nxt:nxt + n], p, out=edge[t])
+    node = np.empty_like(alpha)
+    node[rows] = np.multiply(alpha, beta, out=alpha)
+
+    log_z = np.bincount(slot, weights=np.log(c) + shift, minlength=B)
+    log_z += (np.diff(offsets)[order] - 1) * top
+    sentence_log_z = np.empty(B)
+    sentence_log_z[order] = log_z
+    return node, edge, sentence_log_z
+
+
+def _log_forward_backward(
+    state: np.ndarray, trans: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_forward_backward`` in log space, where each step takes a
+    ``_logsumexp`` over a (sentences, L, L) tensor and no score span
+    underflows."""
     order, active, start, rows, slot = _pack(offsets)
     B, L, T = len(order), trans.shape[0], len(active)
     score = state[rows]

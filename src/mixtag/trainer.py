@@ -4,11 +4,13 @@ The objective is the negative conditional log-likelihood plus a Gaussian
 penalty ||theta||^2 / (2 sigma^2), minimized from a zero start with
 L-BFGS (Liu & Nocedal 1989).  Each evaluation runs one batched
 forward-backward over the whole corpus, whose sentences it visits in one
-fixed order, so repeated runs give identical results.
+fixed order, and no dot product of full-length vectors goes to BLAS, so
+repeated runs give identical results under any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -166,8 +168,8 @@ def objective_and_gradient(
     state, trans = _scores(weights, L, corpus.state_bins, corpus.cols, corpus.token_count())
     node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
 
-    value = float(log_z.sum()) - float(np.dot(weights, corpus.empirical))
-    value += float(np.dot(weights, weights)) / (2.0 * l2_sigma2)
+    value = float(log_z.sum()) - _dot(weights, corpus.empirical)
+    value += _dot(weights, weights) / (2.0 * l2_sigma2)
     # expected counts, laid out as the weights; no pair lands in the first L*L
     grad = _sum_pairs(corpus.count_bins, corpus.rows, node, corpus.index.size // L).ravel()
     grad[: L * L] = edge.sum(axis=0).ravel()
@@ -176,26 +178,38 @@ def objective_and_gradient(
     return value, grad
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b, summed by numpy's own loop.  BLAS splits a long dot product
+    across its threads, which changes the order of the sums, so every dot
+    product of full-length vectors goes through here: the trained model's
+    bytes then do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
     """-H grad by the two-loop recursion over the (s, y, 1/s.y) pairs, oldest
-    first; H0 is (s.y / y.y) I of the newest pair, or I while there is none."""
+    first; H0 is (s.y / y.y) I of the newest pair, or I while there is none.
+
+    The result is a new array; each pair's multiple is formed in one reused
+    buffer, not a fresh vector per pair."""
     q = grad.copy()
+    term = np.empty_like(q)
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * np.dot(s, q))
-        q -= alphas[-1] * y
+        alphas.append(rho * _dot(s, q))
+        q -= np.multiply(y, alphas[-1], out=term)
     if pairs:
         _, y, rho = pairs[-1]
-        q /= rho * np.dot(y, y)
+        q /= rho * _dot(y, y)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * np.dot(y, q)) * s
-    return -q
+        q += np.multiply(s, alpha - rho * _dot(y, q), out=term)
+    return np.negative(q, out=q)
 
 
 def _backtrack(evaluate, weights: np.ndarray, value: float, grad: np.ndarray, direction: np.ndarray):
     """(weights, value, gradient) at the first step 1, 1/2, 1/4, ... that
     meets the Armijo condition, or None below ``MIN_STEP``."""
-    slope = float(np.dot(grad, direction))
+    slope = _dot(grad, direction)
     step = 1.0
     while step >= MIN_STEP:
         trial = weights + step * direction
@@ -238,20 +252,20 @@ def train(
     else:
         report.stop_reason, iterations = StopReason.ZERO_GRADIENT, 0
     for iteration in range(iterations):
-        direction = _lbfgs_direction(grad, pairs) if iteration else -grad / np.linalg.norm(grad)
+        direction = _lbfgs_direction(grad, pairs) if iteration else -grad / math.sqrt(_dot(grad, grad))
         accepted = _backtrack(evaluate, weights, value, grad, direction)
         if accepted is None:
             report.stop_reason = StopReason.NO_STEP
             break
         new_weights, new_value, new_grad = accepted
         s, y = new_weights - weights, new_grad - grad
-        sy = float(np.dot(s, y))
+        sy = _dot(s, y)
         if sy > 0:
             pairs.append((s, y, 1.0 / sy))
         converged = value - new_value <= config.tolerance * max(abs(value), abs(new_value), 1.0)
         weights, value, grad = accepted
         report.iterations += 1
-        report.history.append((value, float(np.linalg.norm(grad))))
+        report.history.append((value, math.sqrt(_dot(grad, grad))))
         if converged:
             report.stop_reason = StopReason.CONVERGED
             break

@@ -9,15 +9,16 @@ from mixtag.corpus import Corpus, Sentence, Token
 N_LABELS = 8
 
 
-def separable_corpus(n_sentences: int, seed: int) -> Corpus:
-    """Each surface uniquely determines its label."""
+def separable_corpus(n_sentences: int, seed: int, variants: int = 3) -> Corpus:
+    """Each surface uniquely determines its label; each label has
+    ``variants`` surfaces."""
     rng = random.Random(seed)
     sentences = []
     for _ in range(n_sentences):
         tokens = []
         for _ in range(rng.randint(3, 8)):
             k = rng.randrange(N_LABELS)
-            variant = rng.randrange(3)
+            variant = rng.randrange(variants)
             tokens.append(Token(f"w{k}v{variant}", "en", f"T{k}"))
         sentences.append(Sentence(tuple(tokens)))
     return Corpus(tuple(sentences))

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles for chain-CRF inference.
+"""Independent brute-force oracles for chain-CRF inference, and a plain
+reference for the optimizer's two-loop recursion.
 
-These deliberately avoid the library's dynamic programs: everything is
-computed by explicit enumeration over all L^T label sequences.
+The inference oracles deliberately avoid the library's dynamic programs:
+everything is computed by explicit enumeration over all L^T label sequences.
 """
 
 from __future__ import annotations
@@ -77,3 +78,21 @@ def random_dyadic_lattice(rng: np.random.Generator, T: int, L: int):
     state = rng.integers(-128, 129, size=(T, L)) / 64.0
     trans = rng.integers(-128, 129, size=(L, L)) / 64.0
     return state, trans
+
+
+def two_loop_direction(grad, pairs, dot):
+    """-H grad by the two-loop recursion (Nocedal & Wright, Algorithm 7.4)
+    over (s, y, 1/s.y) pairs, oldest first, with H0 = (s.y / y.y) I of the
+    newest pair; every product is a fresh array.  ``dot`` is the dot product
+    the trainer uses, so the result can match it bit for bit."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * dot(s, q))
+        q = q - alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q = q / (rho * dot(y, y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * dot(y, q)) * s
+    return -q

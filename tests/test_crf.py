@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixtag import crf
 from mixtag.features import FeatureCatalogue, NormalizationLexicon
 from mixtag.crf import (
     _forward_backward,
+    _log_forward_backward,
     _viterbi,
     FeatureIndex,
     LabelSet,
@@ -113,6 +115,14 @@ class TestModel:
             Model(LabelSet(["A", "B"]), FeatureIndex(3, ["W0=a"]), np.zeros(12))
 
 
+class TestLattice:
+    def test_empty_rejected(self):
+        # log_partition, posterior_marginals and viterbi_lattice used to
+        # raise IndexError on it
+        with pytest.raises(ValueError, match="at least one position"):
+            Lattice(np.zeros((0, 3)), np.zeros((3, 3)))
+
+
 class TestBuildLattice:
     def test_zero_weights(self):
         model = model_from_lattice(np.zeros((3, 2)), np.zeros((2, 2)))
@@ -207,6 +217,25 @@ class TestMarginals:
         assert viterbi_lattice(lat)[0] == viterbi_lattice(lat2)[0]
 
 
+def check_batch(state, trans, offsets):
+    """The batched forward-backward against brute force, sentence by sentence."""
+    node, edge, log_z = _forward_backward(state, trans, offsets)
+    lengths = np.diff(offsets)
+    L = trans.shape[0]
+    assert node.shape == state.shape
+    assert edge.shape == (max(lengths) - 1, L, L)
+    assert log_z.shape == (len(lengths),)
+    expected_edge = np.zeros_like(edge)
+    for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        assert log_z[s] == pytest.approx(
+            oracles.brute_log_partition(state[a:b], trans), rel=1e-12
+        )
+        brute_node, brute_edge = oracles.brute_marginals(state[a:b], trans)
+        assert np.allclose(node[a:b], brute_node, atol=1e-10)
+        expected_edge[: b - a - 1] += brute_edge
+    assert np.allclose(edge, expected_edge, atol=1e-10)
+
+
 class TestBatchedForwardBackward:
     """The one recursion run over many sentences at once, against brute force."""
 
@@ -217,26 +246,9 @@ class TestBatchedForwardBackward:
         offsets = np.cumsum([0, *lengths])
         return state, trans, offsets
 
-    def _check(self, state, trans, offsets):
-        node, edge, log_z = _forward_backward(state, trans, offsets)
-        lengths = np.diff(offsets)
-        L = trans.shape[0]
-        assert node.shape == state.shape
-        assert edge.shape == (max(lengths) - 1, L, L)
-        assert log_z.shape == (len(lengths),)
-        expected_edge = np.zeros_like(edge)
-        for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
-            assert log_z[s] == pytest.approx(
-                oracles.brute_log_partition(state[a:b], trans), rel=1e-12
-            )
-            brute_node, brute_edge = oracles.brute_marginals(state[a:b], trans)
-            assert np.allclose(node[a:b], brute_node, atol=1e-10)
-            expected_edge[: b - a - 1] += brute_edge
-        assert np.allclose(edge, expected_edge, atol=1e-10)
-
     def test_ragged_unsorted_batch(self, rng):
         # lengths out of order and repeated, a one-token sentence first and last
-        self._check(*self._batch(rng, [1, 3, 6, 2, 3, 4, 5, 6, 1], 3))
+        check_batch(*self._batch(rng, [1, 3, 6, 2, 3, 4, 5, 6, 1], 3))
 
     def test_single_sentence_matches_lattice_api(self, rng):
         state, trans, offsets = self._batch(rng, [5], 3)
@@ -255,7 +267,112 @@ class TestBatchedForwardBackward:
         assert np.all(np.isfinite(node)) and np.all(np.isfinite(edge))
         assert np.all(np.isfinite(log_z))
         assert np.allclose(node.sum(axis=1), 1.0, atol=1e-12)
-        self._check(state, trans, offsets)
+        check_batch(state, trans, offsets)
+
+
+def wide_span(state_gap: float, trans_gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """A 2x2 lattice that favours label 0 then label 1 by ``state_gap`` nats
+    and staying on a label by ``trans_gap``; with equal gaps g, log Z is
+    -g + log 3 (three of its four paths score -g)."""
+    return (np.array([[0.0, -state_gap], [-state_gap, 0.0]]),
+            np.array([[0.0, -trans_gap], [-trans_gap, 0.0]]))
+
+
+# Each normalizer of a probability-space recursion is normal here, yet its
+# second position's label 1, 921.5 nats below label 0 and so exp 0 there,
+# carries almost all the mass through the cheap 1 -> 1 transitions.
+LOST_PATH = (np.array([[0.0, -112.5], [0.0, -921.5], [0.0, 0.0], [0.0, 0.0]]),
+             np.array([[-501.5, -707.0], [-406.5, -61.5]]))
+
+# scores spanning more than exp's range (about 745 nats) within a position:
+# a normalizer that underflows to 0, to a subnormal, and one tiny but normal
+# (about 3e-304); a state span of 1000 under a narrow transition span; and
+# LOST_PATH
+WIDE_LATTICES = {
+    "1000": wide_span(1000.0, 1000.0),
+    "740": wide_span(740.0, 740.0),
+    "700": wide_span(700.0, 700.0),
+    "state-1000": wide_span(1000.0, 250.0),
+    "lost-path": LOST_PATH,
+}
+
+
+class TestWideSpanLattices:
+    """Against brute force on lattices whose scores a probability-space
+    recursion cannot hold in exp's range."""
+
+    @pytest.mark.parametrize("name", WIDE_LATTICES)
+    def test_lattice_api_matches_enumeration(self, name):
+        state, trans = WIDE_LATTICES[name]
+        lattice = Lattice(state, trans)
+        assert log_partition(lattice) == pytest.approx(
+            oracles.brute_log_partition(state, trans), rel=1e-12
+        )
+        node, edge = posterior_marginals(lattice)
+        brute_node, brute_edge = oracles.brute_marginals(state, trans)
+        assert np.allclose(node, brute_node, atol=1e-10)
+        assert np.allclose(edge, brute_edge, atol=1e-10)
+        check_batch(state, trans, np.array([0, len(state)]))
+
+    @pytest.mark.parametrize("gap", [1000.0, 740.0, 700.0])
+    def test_equal_gaps_log_partition(self, gap):
+        state, trans = wide_span(gap, gap)
+        assert oracles.brute_log_partition(state, trans) == pytest.approx(
+            -gap + math.log(3), rel=1e-15
+        )
+        assert log_partition(Lattice(state, trans)) == pytest.approx(-gap + math.log(3), rel=1e-12)
+
+    def test_known_log_partition(self):
+        lattice = Lattice(*wide_span(1000.0, 1000.0))
+        assert log_partition(lattice) == pytest.approx(-998.9014, abs=1e-4)
+
+    @pytest.mark.parametrize("name", WIDE_LATTICES)
+    def test_ragged_batch_mixing_wide_and_ordinary_sentences(self, rng, name):
+        wide, trans = WIDE_LATTICES[name]
+        ordinary = [oracles.random_dyadic_lattice(rng, T, 2)[0] for T in (3, 1, 4, 2, 5)]
+        sentences = [ordinary[0], wide, *ordinary[1:3], wide[:1], ordinary[3], wide, ordinary[4]]
+        state = np.concatenate(sentences)
+        offsets = np.cumsum([0, *map(len, sentences)])
+        check_batch(state, trans, offsets)
+
+
+class TestScaledAndLogSpacePaths:
+    """The scaled recursion and its log-space fallback agree, and each runs
+    where it should."""
+
+    def test_agree_on_random_ragged_batches(self, rng):
+        for _ in range(20):
+            L = int(rng.integers(1, 7))
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 9)))
+            state = rng.normal(scale=4.0, size=(int(lengths.sum()), L))
+            trans = rng.normal(scale=4.0, size=(L, L))
+            offsets = np.cumsum([0, *lengths])
+            node, edge, log_z = _forward_backward(state, trans, offsets)
+            log_node, log_edge, log_log_z = _log_forward_backward(state, trans, offsets)
+            assert np.allclose(log_z, log_log_z, rtol=1e-12, atol=0)
+            assert np.max(np.abs(node - log_node)) < 1e-12
+            assert np.max(np.abs(edge - log_edge), initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("lattice,fallback", [
+        (wide_span(1000.0, 1000.0), True),
+        (wide_span(700.0, 700.0), True),
+        (LOST_PATH, True),
+        (wide_span(1000.0, 250.0), False),
+        (wide_span(0.0, 300.0), False),
+        (wide_span(0.0, 300.5), True),
+    ])
+    def test_fallback_past_the_transition_span(self, monkeypatch, lattice, fallback):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _log_forward_backward(*args)
+
+        monkeypatch.setattr(crf, "_log_forward_backward", spy)
+        state, trans = lattice
+        T = len(state)
+        _forward_backward(np.concatenate([state, state[::-1]]), trans, np.array([0, T, 2 * T]))
+        assert len(calls) == fallback
 
 
 def log_prob(model, attrs, labels):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixtag
 from mixtag import trainer
 from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import (
@@ -321,6 +327,60 @@ class TestOptimizer:
         assert report.iterations == 1
         assert np.array_equal(model.weights, points[1])
         assert report.final_objective == report.history[0][0]
+
+
+class TestLbfgsDirection:
+    """The buffered two-loop recursion against the plain reference."""
+
+    @staticmethod
+    def _pairs(rng, m, n):
+        pairs = deque(maxlen=trainer.LBFGS_MEMORY)
+        for _ in range(m):
+            s = rng.normal(size=n)
+            y = s + 0.5 * rng.normal(size=n)
+            pairs.append((s, y, 1.0 / trainer._dot(s, y)))
+        return pairs
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 10])
+    def test_equals_plain_recursion_bit_for_bit(self, rng, m):
+        pairs = self._pairs(rng, m, 3001)
+        grad = rng.normal(size=3001)
+        grad_before = grad.copy()
+        stored = [(s.copy(), y.copy(), rho) for s, y, rho in pairs]
+        direction = trainer._lbfgs_direction(grad, pairs)
+        want = oracles.two_loop_direction(grad, list(pairs), trainer._dot)
+        assert direction.tobytes() == want.tobytes()
+        assert np.array_equal(grad, grad_before)
+        for (s, y, rho), (s0, y0, rho0) in zip(pairs, stored, strict=True):
+            assert np.array_equal(s, s0) and np.array_equal(y, y0) and rho == rho0
+        for array in [grad, *(v for s, y, _ in pairs for v in (s, y))]:
+            assert not np.shares_memory(direction, array)
+
+
+class TestBlasThreads:
+    def test_model_bytes_do_not_depend_on_blas_thread_count(self):
+        # BLAS splits a dot product of more than about 10,000 elements across
+        # its threads; over 50,000 parameters every optimizer vector is that long
+        src = str(Path(mixtag.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+        probe = (
+            "import hashlib; from datagen import separable_corpus; "
+            "from mixtag.crf import save_model; from mixtag.trainer import TrainConfig, train; "
+            "model, report = train(separable_corpus(300, seed=3, variants=50), "
+            "config=TrainConfig(max_iterations=10)); "
+            "print(model.index.size, report.iterations, hashlib.sha256(save_model(model)).hexdigest())"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout.split())
+        size, iterations, _ = outputs[0]
+        assert int(size) > 50_000 and int(iterations) == 10
+        assert outputs[0] == outputs[1]
 
 
 class TestStopReason:

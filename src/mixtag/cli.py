@@ -47,6 +47,13 @@ def _read_text(path: str, error=CorpusError) -> str:
     return decode_text(data, error)
 
 
+def _write_file(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _parse_file(path: str, schema: str | None):
     """The corpus in ``path``; a None schema is that of the first token line."""
     try:
@@ -90,7 +97,7 @@ def cmd_train(args) -> int:
     except trainer.TrainingError as exc:
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    Path(args.model).write_bytes(save_model(model))
+    _write_file(args.model, save_model(model))
     print(f"training sentences: {len(merged)}")
     print(f"training tokens: {merged.token_count()}")
     print(f"labels: {len(model.labels)}")
@@ -116,9 +123,7 @@ def cmd_tag(args) -> int:
     source = _parse_file(args.input, corpus_mod.TEST2COL)
     # the model's own lexicon and catalogue
     tagged = tag_corpus(model, source)
-    Path(args.output).write_text(
-        write_corpus(tagged, corpus_mod.TRAIN3COL), encoding="utf-8"
-    )
+    _write_file(args.output, write_corpus(tagged, corpus_mod.TRAIN3COL).encode("utf-8"))
     return EXIT_OK
 
 

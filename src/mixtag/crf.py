@@ -30,7 +30,7 @@ from .features import (
 )
 
 MODEL_MAGIC = "MIXTAG-MODEL"
-MODEL_VERSION = 2  # written; version 1 still loads
+MODEL_VERSION = 2  # the one version written and read; version 1 files must be retrained
 
 
 class ModelFormatError(ValueError):
@@ -155,18 +155,15 @@ def _scores(
 class Model:
     """Weights plus the features they were trained on.
 
-    A model is applied with its own catalogue and lexicon.  ``lexicon`` is
-    None only for a v1 file trained with a lexicon: v1 kept just the
-    lexicon's fingerprint, which ``v1_lexicon_fingerprint`` then holds.
-    Exactly one of the two is set.
+    A model is applied with its own catalogue and lexicon, and its file
+    stores both.
     """
 
     labels: LabelSet
     index: FeatureIndex
     weights: np.ndarray
     catalogue: FeatureCatalogue = FeatureCatalogue()
-    lexicon: NormalizationLexicon | None = EMPTY_LEXICON
-    v1_lexicon_fingerprint: str | None = None
+    lexicon: NormalizationLexicon = EMPTY_LEXICON
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -181,18 +178,10 @@ class Model:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite weight")
-        if (self.lexicon is None) == (self.v1_lexicon_fingerprint is None):
-            raise ValueError("a model needs exactly one of its lexicon and a v1 lexicon fingerprint")
-
-    @property
-    def lexicon_fingerprint(self) -> str:
-        if self.lexicon is None:
-            return self.v1_lexicon_fingerprint
-        return self.lexicon.fingerprint()
-
-    @property
-    def catalogue_fingerprint(self) -> str:
-        return self.catalogue.fingerprint()
+        if not isinstance(self.lexicon, NormalizationLexicon):
+            raise ValueError(
+                f"a model's lexicon must be a NormalizationLexicon, not {self.lexicon!r}"
+            )
 
     def features(
         self,
@@ -206,20 +195,14 @@ class Model:
         elif catalogue != self.catalogue:
             raise ValueError(
                 f"catalogue {catalogue.fingerprint()} does not match the model's "
-                f"{self.catalogue_fingerprint}"
+                f"{self.catalogue.fingerprint()}"
             )
         if lexicon is None:
-            if self.lexicon is None:
-                raise ValueError(
-                    "this v1 model file does not store its lexicon (fingerprint "
-                    f"{self.lexicon_fingerprint}); retrain it, or tag through the "
-                    "library with the training lexicon"
-                )
             lexicon = self.lexicon
-        elif lexicon.fingerprint() != self.lexicon_fingerprint:
+        elif lexicon.fingerprint() != self.lexicon.fingerprint():
             raise ValueError(
                 f"lexicon {lexicon.fingerprint()} does not match the model's "
-                f"{self.lexicon_fingerprint}"
+                f"{self.lexicon.fingerprint()}"
             )
         return lexicon, catalogue
 
@@ -496,40 +479,6 @@ def viterbi(model: Model, attrs: Sequence[tuple[str, ...]]) -> tuple[list[str], 
     return [model.labels[y] for y in path], score
 
 
-def _read_grid(lines: list[str], labels: LabelSet, block: str) -> tuple[list[str], np.ndarray]:
-    """Keys, as spelled in the file, and weights of a v1 weight block.
-
-    A block has one ``key<TAB>label<TAB>weight`` line per weight, L lines per
-    key; each key's L lines must name the labels in order and spell the key
-    alike.
-    """
-    # checked before any joining, where a line short one tab followed by a
-    # line with one extra tab would realign
-    if set(map(str.count, lines, repeat("\t"))) - {2}:
-        raise ModelFormatError(f"malformed {block} line")
-    L = len(labels)
-    expected = list(labels)
-    keys: list[str] = []
-    weights = np.empty(len(lines))
-    for start in range(0, len(lines), L):
-        fields = "\t".join(lines[start:start + L]).split("\t")
-        key = fields[0]
-        if fields[1::3] != expected or fields[0::3].count(key) != L:
-            raise ModelFormatError(f"{block} block out of order")
-        try:
-            weights[start:start + L] = fields[2::3]
-        except ValueError as exc:
-            raise ModelFormatError(f"bad weight in {block} block ({key!r}): {exc}") from None
-        keys.append(key)
-    finite = np.isfinite(weights)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ModelFormatError(
-            f"non-finite weight {weights[bad]} in {block} block ({keys[bad // L]!r})"
-        )
-    return keys, weights
-
-
 def _unescape_lines(lines: list[str], what: str) -> list[str]:
     """The values of escaped lines, each spelled as ``escape_value`` spells it."""
     values = lines.copy()
@@ -547,8 +496,6 @@ def _strictly_sorted(values: Sequence[str]) -> bool:
 
 def save_model(model: Model) -> bytes:
     """Serialize to format v2, the one spelling ``load_model`` accepts."""
-    if model.lexicon is None:
-        raise ValueError("a v1 model without its lexicon cannot be saved")
     labels, L = model.labels, len(model.labels)
     attributes, weights = model.index.attributes, model.weights
     if not _strictly_sorted(attributes):
@@ -561,7 +508,7 @@ def save_model(model: Model) -> bytes:
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"labels {L}",
         *labels,
-        f"catalogue {model.catalogue_fingerprint}",
+        f"catalogue {model.catalogue.fingerprint()}",
         f"lexicon {len(lexicon)}",
         *(f"{escape_value(short)}\t{escape_value(word)}" for short, word in lexicon),
         f"attributes {len(attributes)}",
@@ -606,24 +553,38 @@ class _Lines:
         return int(count)
 
 
-def _read_v1_body(lines: _Lines, labels: LabelSet):
-    """Lexicon or, if v1 did not store it, its fingerprint; attributes and
-    weights of a v1 file."""
-    lexicon, fingerprint = None, lines.value("lexicon")
-    if fingerprint == "empty":
-        lexicon, fingerprint = EMPTY_LEXICON, None
-    elif not (len(fingerprint) == 16 and set(fingerprint) <= set("0123456789abcdef")):
-        raise ModelFormatError(f"bad lexicon fingerprint {fingerprint!r}")
-    lines.expect("transitions")
-    keys, trans = _read_grid(lines.take(len(labels) ** 2), labels, "transition")
-    if keys != list(labels):
-        raise ModelFormatError("transition block out of order")
-    keys, state = _read_grid(lines.take(lines.count("states") * len(labels)), labels, "state")
-    return lexicon, fingerprint, list(map(unescape_value, keys)), np.concatenate([trans, state])
+def load_model(data: bytes) -> Model:
+    """Parse a model file in format v2; anything else raises ModelFormatError.
 
+    A file loads only in the spelling ``save_model`` writes, so
+    ``save_model(load_model(b)) == b``.  Version 1 files, which did not
+    store the lexicon, are rejected with a message to retrain the model.
+    """
+    try:
+        lines = _Lines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8: {exc}") from None
+    header = lines.take(1)[0].split(" ")
+    if len(header) != 2 or header[0] != MODEL_MAGIC:
+        raise ModelFormatError("not a model file (bad magic)")
+    if header[1] == "1":
+        raise ModelFormatError(
+            "model format version 1 is no longer read; retrain the model with mixtag train"
+        )
+    if header[1] != str(MODEL_VERSION):
+        raise ModelFormatError(f"unsupported model version {header[1]!r}")
+    if not data.endswith(b"\n"):
+        raise ModelFormatError("model file does not end with a newline")
 
-def _read_v2_body(lines: _Lines, labels: LabelSet):
-    """Lexicon, attributes and weights of a v2 file, each in its one spelling."""
+    try:
+        labels = LabelSet(lines.take(lines.count("labels")))
+    except ValueError as exc:
+        raise ModelFormatError(f"bad label block: {exc}") from None
+    try:
+        catalogue = FeatureCatalogue.from_fingerprint(lines.value("catalogue"))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+
     pairs = [line.split("\t") for line in lines.take(lines.count("lexicon"))]
     if any(len(pair) != 2 for pair in pairs):
         raise ModelFormatError("malformed lexicon line")
@@ -652,45 +613,13 @@ def _read_v2_body(lines: _Lines, labels: LabelSet):
     expected = len(labels) * (len(labels) + len(attributes))
     if len(raw) != 8 * expected:
         raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {expected}")
-    return lexicon, None, attributes, np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def load_model(data: bytes) -> Model:
-    """Parse a model file, v2 or v1; anything else raises ModelFormatError.
-
-    A v2 file loads only in the spelling ``save_model`` writes, so
-    ``save_model(load_model(b)) == b``.
-    """
-    try:
-        lines = _Lines(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model file is not UTF-8: {exc}") from None
-    header = lines.take(1)[0].split(" ")
-    if len(header) != 2 or header[0] != MODEL_MAGIC:
-        raise ModelFormatError("not a model file (bad magic)")
-    if header[1] not in ("1", "2"):
-        raise ModelFormatError(f"unsupported model version {header[1]!r}")
-    v1 = header[1] == "1"
-    if not (v1 or data.endswith(b"\n")):
-        raise ModelFormatError("model file does not end with a newline")
-
-    try:
-        labels = LabelSet(lines.take(lines.count("labels")))
-    except ValueError as exc:
-        raise ModelFormatError(f"bad label block: {exc}") from None
-    try:
-        catalogue = FeatureCatalogue.from_fingerprint(lines.value("catalogue"))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
-    lexicon, fingerprint, attributes, weights = (_read_v1_body if v1 else _read_v2_body)(lines, labels)
     if lines.pos != len(lines.lines):
-        raise ModelFormatError(f"trailing garbage after {'state' if v1 else 'weights'} block")
+        raise ModelFormatError("trailing garbage after weights block")
 
+    # strictly sorted attributes hold no duplicate, so the index is valid
+    index = FeatureIndex(len(labels), attributes)
+    weights = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     try:
-        index = FeatureIndex(len(labels), attributes)
-    except ValueError as exc:
-        raise ModelFormatError(f"bad state block: {exc}") from None
-    try:
-        return Model(labels, index, weights, catalogue, lexicon, fingerprint)
-    except ValueError as exc:  # a non-finite v2 weight
+        return Model(labels, index, weights, catalogue, lexicon)
+    except ValueError as exc:  # a non-finite weight
         raise ModelFormatError(f"bad weights block: {exc}") from None

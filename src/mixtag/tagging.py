@@ -46,7 +46,7 @@ def tag_corpus(
 
     Features are extracted with the model's own lexicon and catalogue.  An
     explicit ``lexicon`` or ``catalogue`` must match the model's (else
-    ValueError); a v1 model trained with a lexicon needs it passed in.
+    ValueError).
 
     The corpus is one batch: extracted and compiled in one pass, scored
     once, and decoded by one batched Viterbi.  The result equals

@@ -1,15 +1,18 @@
-"""Every public definition in ``src/mixtag`` has a caller outside the tests.
+"""Every definition in ``src/mixtag`` has a caller outside the tests.
 
 A public top-level function or class, or a public method of a public class,
 must be named somewhere other than its own definition: in a module of
 ``src/mixtag`` (``__init__.py``'s re-exports do not count) or in the
 benchmark under ``perfbench/``, whose tracer names the functions it wraps
-in strings such as ``"crf.viterbi_lattice"``.  Code that only tests call
-belongs in the tests.
+in strings such as ``"crf.viterbi_lattice"``.  A private (``_``-prefixed)
+top-level function or class, or a private method of any class, must be
+named in a module of ``src/mixtag`` other than in its own definition;
+dunder methods are exempt.  Code that only tests call belongs in the tests.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,48 +23,86 @@ SRC = ROOT / "src" / "mixtag"
 ALLOWED = {"log_partition", "average_scores"}
 
 
-def public_definitions():
-    """(qualified name, name) of each public definition in src/mixtag."""
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def definitions():
+    """(qualified name, name, node, class name or None) of each top-level
+    function or class in src/mixtag and of each method of a class."""
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{path.stem}.{node.name}", node.name, node, None
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, item, node.name
 
 
-def names_in(path: Path, dotted_strings: bool) -> set[str]:
-    """The names a module refers to; with ``dotted_strings``, also the parts
-    of string constants spelled like ``module.function``."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def names_in(tree: ast.AST, dotted_strings: bool) -> Counter:
+    """How often a tree refers to each name; with ``dotted_strings``, also
+    the parts of string constants spelled like ``module.function``."""
+    names = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"\w+(\.\w+)+", node.value):
                 names.update(node.value.split("."))
     return names
 
 
-def used_names() -> set[str]:
-    names = set()
+def src_names() -> Counter:
+    names = Counter()
     for path in SRC.glob("*.py"):
         if path.name != "__init__.py":
-            names |= names_in(path, dotted_strings=False)
-    for path in (ROOT / "perfbench").rglob("*.py"):
-        names |= names_in(path, dotted_strings=True)
+            names += names_in(parse(path), dotted_strings=False)
     return names
 
 
+def perfbench_names() -> set[str]:
+    names = set()
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        names |= set(names_in(parse(path), dotted_strings=True))
+    return names
+
+
+def used_names() -> set[str]:
+    return set(src_names()) | perfbench_names()
+
+
+def uncalled(private: bool) -> list[str]:
+    """The public or the private definitions that nothing outside their own
+    definition names."""
+    src, bench = src_names(), set() if private else perfbench_names()
+    uncalled = []
+    for qualified, name, node, owner in definitions():
+        if private:
+            if not is_private(name):
+                continue
+        elif name.startswith("_") or (owner or "").startswith("_") or name in ALLOWED:
+            continue
+        if src[name] <= names_in(node, dotted_strings=False)[name] and name not in bench:
+            uncalled.append(qualified)
+    return uncalled
+
+
 def test_every_public_definition_has_a_caller():
-    used = used_names()
-    uncalled = [q for q, name in public_definitions() if name not in used and name not in ALLOWED]
-    assert uncalled == [], f"only tests (or nothing) call {uncalled}"
+    uncalled_public = uncalled(private=False)
+    assert uncalled_public == [], f"only tests (or nothing) call {uncalled_public}"
+
+
+def test_every_private_definition_has_a_caller():
+    uncalled_private = uncalled(private=True)
+    assert uncalled_private == [], f"nothing in src/mixtag calls {uncalled_private}"
 
 
 def test_allowed_names_are_acceptance_imports_without_another_caller():

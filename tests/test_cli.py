@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from mixtag.tagging import tag_corpus, tag_sentence
 
 from conftest import position_attributes
 from datagen import separable_corpus, strip_labels
-from v1format import save_v1
 
 TRAIN_TEXT = (
     "ami\tbn\tPRP\nkhub\tbn\tJJ\nbhalo\tbn\tJJ\n\n"
@@ -131,6 +131,17 @@ class TestTrain:
         assert message in err
         assert not model.exists()
 
+    def test_unwritable_model_path_is_data_error(self, workdir, capsys):
+        model = workdir / "no-such-dir" / "m.txt"
+        code, out, err = run(
+            ["train", "--train", str(workdir / "train.txt"), "--model", str(model),
+             "--max-iter", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"mixtag: {model}: {os.strerror(errno.ENOENT)}\n"
+        assert "model written" not in out
+
     def test_disable_feature_accepted(self, workdir, capsys):
         code, _, _ = run(
             ["train", "--train", str(workdir / "train.txt"),
@@ -217,15 +228,29 @@ class TestTag:
 
     def test_unknown_label_in_model_is_data_error(self, workdir, capsys):
         model = self._train(workdir, capsys)
-        v1 = save_v1(load_model(model.read_bytes()))
-        model.write_bytes(v1.replace(b"\nJJ\tJJ\t", b"\nZZ\tJJ\t", 1))
+        lines = model.read_bytes().split(b"\n")
+        assert lines[1] == b"labels 3"
+        lines[3] = lines[2]  # the label block repeats its first label
+        model.write_bytes(b"\n".join(lines))
         code, _, err = run(
             ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
              "--output", str(workdir / "out.txt")],
             capsys,
         )
         assert code == 2
-        assert "transition block" in err
+        assert "bad label block" in err
+
+    def test_unwritable_output_is_data_error(self, workdir, capsys):
+        model = self._train(workdir, capsys)
+        output = workdir / "no-such-dir" / "out.txt"
+        code, out, err = run(
+            ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
+             "--output", str(output)],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"mixtag: {output}: {os.strerror(errno.ENOENT)}\n"
+        assert out == ""
 
 
 class TestEval:
@@ -467,29 +492,20 @@ class TestModelFeatures:
 
     def test_v1_model_with_lexicon_exits_2(self, trained, capsys):
         tmp_path, model_path = trained
-        model = load_model(model_path.read_bytes())
-        model_path.write_bytes(save_v1(model))
+        # the spelling the package wrote before format 2, with a lexicon fingerprint
+        model_path.write_bytes(b"MIXTAG-MODEL 1\nlabels 1\nX\ncatalogue all\n"
+                               b"lexicon 116e12c92c0cdd8b\ntransitions\nX\tX\t0.5\nstates 0\n")
         out = tmp_path / "tagged.txt"
-        code, _, err = run(["tag", "--model", str(model_path), "--input", str(tmp_path / "test.txt"),
-                            "--output", str(out)], capsys)
-        assert code == 2
-        assert f"does not store its lexicon (fingerprint {model.lexicon_fingerprint})" in err
-        assert not out.exists()
-        # through the library, the training lexicon recovers the tags
-        v1 = load_model(model_path.read_bytes())
-        source = parse_corpus(LEXICON_TEST_TEXT, TEST2COL)
-        assert tag_corpus(v1, source, load_lexicon(LEXICON_TEXT)) == tag_corpus(model, source)
-
-    def test_v1_model_without_lexicon_tags_alike(self, workdir, capsys):
-        model_path = TestTag()._train(workdir, capsys)
-        outputs = []
-        for data in (model_path.read_bytes(), save_v1(load_model(model_path.read_bytes()))):
-            model_path.write_bytes(data)
-            out = workdir / "tagged.txt"
-            assert run(["tag", "--model", str(model_path), "--input", str(workdir / "test.txt"),
-                        "--output", str(out)], capsys)[0] == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        for command, output in [("tag", ["--output", str(out)]), ("features", [])]:
+            code, stdout, err = run(
+                [command, "--input", str(tmp_path / "test.txt"), *output, "--model", str(model_path)],
+                capsys,
+            )
+            assert code == 2
+            assert err == (f"mixtag: {model_path}: model format version 1 is no longer read; "
+                           "retrain the model with mixtag train\n")
+            assert stdout == ""
+            assert not out.exists()
 
     def test_features_with_model(self, trained, capsys):
         tmp_path, model_path = trained

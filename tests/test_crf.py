@@ -28,19 +28,11 @@ from mixtag.crf import (
 
 import oracles
 from conftest import apply_byte_edits, byte_edits, model_from_lattice
-from v1format import save_v1
 
 
 def aset(*attrs):
     return tuple(attrs)
 
-
-SMALL_MODEL = save_v1(
-    Model(LabelSet(["N", "V"]), FeatureIndex(2, ["W0=a\\b", "W0=k1"]),
-          np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0]))
-)
-# bytes that can shift fields and lines or break a number
-EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV"
 
 # escaped attributes and lexicon entries; 10 weights, 80 bytes, so the
 # base64 line ends in padding
@@ -50,8 +42,9 @@ SMALL_V2_MODEL = save_model(
           FeatureCatalogue().without("affixes"),
           NormalizationLexicon({"k\\1": "ka\nl", "kr": "kor"}))
 )
-# v1's edit bytes plus the base64 alphabet's, an escape letter and a space
-V2_EDIT_BYTES = EDIT_BYTES + b" /=AQgwnt"
+# bytes that can shift fields and lines or break a count, plus the base64
+# alphabet's, an escape letter and a space
+V2_EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV /=AQgwnt"
 
 
 class TestLabelSet:
@@ -497,8 +490,8 @@ class TestPersistence:
         assert loaded.labels == model.labels
         assert loaded.index.attributes == model.index.attributes
         assert np.array_equal(loaded.weights, model.weights)
-        assert loaded.catalogue_fingerprint == model.catalogue_fingerprint
-        assert loaded.lexicon_fingerprint == model.lexicon_fingerprint
+        assert loaded.catalogue == model.catalogue
+        assert loaded.lexicon.fingerprint() == model.lexicon.fingerprint()
 
     def test_save_is_deterministic(self, rng):
         model = self._model(rng)
@@ -509,44 +502,37 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(data)
 
+    def test_version_1_rejected(self):
+        # the spelling the package wrote before format 2
+        data = (b"MIXTAG-MODEL 1\nlabels 1\nX\ncatalogue all\nlexicon empty\n"
+                b"transitions\nX\tX\t0.5\nstates 0\n")
+        with pytest.raises(ModelFormatError, match="^model format version 1 is no longer read; "
+                           "retrain the model with mixtag train$"):
+            load_model(data)
+
     def test_bad_magic(self):
         with pytest.raises(ModelFormatError, match="magic"):
             load_model(b"NOT-A-MODEL 1\n")
 
     def test_truncated(self, rng):
-        data = save_v1(self._model(rng))
+        data = save_model(self._model(rng))
+        # the first half, cut back to a line end: a cut inside a line fails
+        # the final-newline check first
         with pytest.raises(ModelFormatError, match="truncated"):
-            load_model(data[: len(data) // 2])
+            load_model(data[: data.rindex(b"\n", 0, len(data) // 2) + 1])
 
     def test_non_finite_weight_rejected(self, rng):
-        data = save_v1(self._model(rng)).decode()
-        lines = data.split("\n")
-        first_trans = lines.index("transitions") + 1
-        cols = lines[first_trans].split("\t")
-        cols[2] = "1e999"
-        lines[first_trans] = "\t".join(cols)
+        model = self._model(rng)
+        data = save_model(model)
+        weights = model.weights.copy()
+        weights[0] = np.inf
+        line = base64.b64encode(weights.astype("<f8").tobytes())
         with pytest.raises(ModelFormatError, match="non-finite"):
-            load_model("\n".join(lines).encode())
-
-    def test_unknown_label_in_transitions(self, rng):
-        data = save_v1(self._model(rng)).replace(b"\nN\tN\t", b"\nZZ\tN\t", 1)
-        with pytest.raises(ModelFormatError, match="transition block"):
-            load_model(data)
-
-    def test_unknown_label_in_states(self, rng):
-        data = save_v1(self._model(rng)).replace(b"\nLEN=L_2\tN\t", b"\nLEN=L_2\tZZ\t")
-        with pytest.raises(ModelFormatError, match="state block"):
-            load_model(data)
+            load_model(data.replace(_weights_line(data), line))
 
     def test_bad_label_count(self, rng):
-        data = save_v1(self._model(rng)).replace(b"\nlabels 3\n", b"\nlabels x\n")
+        data = save_model(self._model(rng)).replace(b"\nlabels 3\n", b"\nlabels x\n")
         with pytest.raises(ModelFormatError, match="labels count"):
-            load_model(data)
-
-    def test_duplicate_state_block(self, rng):
-        # the second attribute block repeats the first one's attribute
-        data = save_v1(self._model(rng)).replace(b"\nW0=khub\t", b"\nLEN=L_2\t")
-        with pytest.raises(ModelFormatError, match="duplicate"):
             load_model(data)
 
     def test_special_characters_round_trip(self, rng):
@@ -554,70 +540,22 @@ class TestPersistence:
         # in sorted order, as v2 stores them
         idx = FeatureIndex(2, sorted(["W0=a\tb", "W0=a\nb", "W0=a\\b", "W0=a\\tb", "W0=\\"]))
         model = Model(labels, idx, rng.standard_normal(idx.size))
-        for save in (save_model, save_v1):
-            loaded = load_model(save(model))
-            assert loaded.index.attributes == idx.attributes
-            assert np.array_equal(loaded.weights, model.weights)
-
-    def test_block_spelled_differently(self):
-        # "\\a" unescapes to "a", but a block's label lines must spell its
-        # attribute exactly as the first line does
-        model = Model(LabelSet(["X", "Y"]), FeatureIndex(2, ["W0=ab"]), np.zeros(6))
-        data = save_v1(model).replace(b"\nW0=ab\tY\t", b"\nW0=\\ab\tY\t")
-        assert data != save_v1(model)
-        with pytest.raises(ModelFormatError, match="state block"):
-            load_model(data)
-
-    def test_transition_rows_swapped(self, rng):
-        # rows N and V trade places whole, each spelled consistently
-        lines = save_v1(self._model(rng)).decode().split("\n")
-        i = lines.index("transitions") + 1
-        lines[i:i + 6] = lines[i + 3:i + 6] + lines[i:i + 3]
-        with pytest.raises(ModelFormatError, match="transition block out of order"):
-            load_model("\n".join(lines).encode())
+        loaded = load_model(save_model(model))
+        assert loaded.index.attributes == idx.attributes
+        assert np.array_equal(loaded.weights, model.weights)
 
     def test_trailing_garbage(self, rng):
-        with pytest.raises(ModelFormatError, match="trailing"):
-            load_model(save_v1(self._model(rng)) + b"x\n")
-
-    @pytest.mark.parametrize("header", ["transitions", "states 3"])
-    def test_tab_moved_to_next_line(self, rng, header):
-        # a line short one tab, then one with an extra tab: joined, the two
-        # lines read exactly as the original ones
-        lines = save_v1(self._model(rng)).decode().split("\n")
-        i = lines.index(header) + 1
-        key, label, weight = lines[i].split("\t")
-        lines[i:i + 2] = [f"{key}\t{label}", f"{weight}\t{lines[i + 1]}"]
-        with pytest.raises(ModelFormatError, match="malformed"):
-            load_model("\n".join(lines).encode())
-
-    @pytest.mark.parametrize(
-        "header, block", [("transitions", "transition block"), ("states 3", "state block")]
-    )
-    def test_non_numeric_weight(self, rng, header, block):
-        lines = save_v1(self._model(rng)).decode().split("\n")
-        i = lines.index(header) + 2
-        lines[i] = lines[i].rpartition("\t")[0] + "\t1.5x"
-        with pytest.raises(ModelFormatError, match=f"bad weight.*{block}"):
-            load_model("\n".join(lines).encode())
-
-    @settings(max_examples=300, deadline=None)
-    @given(byte_edits(SMALL_MODEL, EDIT_BYTES))
-    def test_byte_edits_load_or_raise_model_format_error(self, edits):
-        try:
-            model = load_model(apply_byte_edits(SMALL_MODEL, edits))
-        except ModelFormatError:
-            return
-        saved = save_model(model)
-        assert save_model(load_model(saved)) == saved
+        # a second weights line
+        data = save_model(self._model(rng))
+        with pytest.raises(ModelFormatError, match="trailing garbage after weights block"):
+            load_model(data + _weights_line(data) + b"\n")
 
     def test_escaped_attribute_round_trip(self):
         labels = LabelSet(["X"])
         idx = FeatureIndex(1, ["W0=a\\b"])
         model = Model(labels, idx, np.array([0.5, -0.25]))
-        for save in (save_model, save_v1):
-            loaded = load_model(save(model))
-            assert loaded.index.attributes == ("W0=a\\b",)
+        loaded = load_model(save_model(model))
+        assert loaded.index.attributes == ("W0=a\\b",)
 
 
 def _weights_line(data: bytes) -> bytes:
@@ -639,7 +577,7 @@ class TestPersistenceV2:
         loaded = load_model(data)
         assert loaded.catalogue == model.catalogue
         assert loaded.lexicon.sorted_items() == model.lexicon.sorted_items()
-        assert loaded.lexicon_fingerprint == model.lexicon_fingerprint
+        assert loaded.lexicon.fingerprint() == model.lexicon.fingerprint()
         assert loaded.index.attributes == model.index.attributes
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert save_model(loaded) == data
@@ -666,27 +604,11 @@ class TestPersistenceV2:
             a, b = idx.state_base(attr), loaded.index.state_base(attr)
             assert np.array_equal(loaded.weights[b:b + 2], model.weights[a:a + 2])
 
-    def test_v1_without_lexicon_cannot_be_saved(self, rng):
-        data = save_v1(self._model(rng))
-        loaded = load_model(data)
-        assert loaded.lexicon is None
-        assert loaded.lexicon_fingerprint == self._model(rng).lexicon_fingerprint
-        assert loaded.catalogue == self._model(rng).catalogue
-        with pytest.raises(ValueError, match="lexicon"):
-            save_model(loaded)
-
-    def test_lexicon_xor_v1_fingerprint(self, rng):
+    @pytest.mark.parametrize("lexicon", [None, "0123456789abcdef"])
+    def test_lexicon_required(self, rng, lexicon):
         model = self._model(rng)
-        for lexicon, fingerprint in [(model.lexicon, "0123456789abcdef"), (None, None)]:
-            with pytest.raises(ValueError, match="exactly one"):
-                Model(model.labels, model.index, model.weights, model.catalogue,
-                      lexicon, fingerprint)
-
-    def test_bad_v1_lexicon_fingerprint(self, rng):
-        data = save_v1(self._model(rng))
-        fingerprint = self._model(rng).lexicon_fingerprint.encode()
-        with pytest.raises(ModelFormatError, match="lexicon fingerprint"):
-            load_model(data.replace(fingerprint, fingerprint.upper()))
+        with pytest.raises(ValueError, match="must be a NormalizationLexicon"):
+            Model(model.labels, model.index, model.weights, model.catalogue, lexicon)
 
     def test_unsorted_attributes(self, rng):
         data = save_model(self._model(rng)).replace(

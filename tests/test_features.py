@@ -190,7 +190,7 @@ class TestLexicon:
         assert len(lex) == 1
 
     def test_fingerprint_unchanged(self):
-        # v1 model files hold this value; it must not change
+        # mismatch errors name a lexicon by this value; it must not change
         assert load_lexicon("krte\tkorte\nami\tamii\n").fingerprint() == "116e12c92c0cdd8b"
         assert EMPTY_LEXICON.fingerprint() == "empty"
 

@@ -11,20 +11,7 @@ from .corpus import (
     parse_corpus,
     write_corpus,
 )
-from .crf import (
-    FeatureIndex,
-    LabelSet,
-    Lattice,
-    Model,
-    ModelFormatError,
-    build_lattice,
-    index_features,
-    load_model,
-    log_partition,
-    posterior_marginals,
-    save_model,
-    viterbi,
-)
+from .crf import FeatureIndex, LabelSet, Model, ModelFormatError, load_model, save_model
 from .evaluation import (
     EvalReport,
     EvaluationError,

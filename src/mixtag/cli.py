@@ -6,8 +6,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import trainer
@@ -39,40 +43,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_text(path: str, error=CorpusError) -> str:
+@contextmanager
+def _file(path: str) -> Iterator[Path]:
+    """The boundary of every file the CLI reads or writes: an ``OSError``
+    becomes a ``CorpusError`` and a data error names the file."""
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise error(str(exc.strerror or exc)) from None
-    return decode_text(data, error)
-
-
-def _write_file(path: str, data: bytes) -> None:
-    try:
-        Path(path).write_bytes(data)
+        yield Path(path)
     except OSError as exc:
         raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+    except (CorpusError, ModelFormatError) as exc:  # LexiconError included
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _check_writable(path: Path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise, creating and
+    truncating nothing."""
+    if path.exists() or not path.parent.is_dir():
+        # without O_CREAT or O_TRUNC; fails with EISDIR, EACCES, ENOENT or ENOTDIR
+        os.close(os.open(path, os.O_WRONLY))
+    elif not os.access(path.parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
 def _parse_file(path: str, schema: str | None):
     """The corpus in ``path``; a None schema is that of the first token line."""
-    try:
-        text = _read_text(path)
+    with _file(path) as file:
+        text = decode_text(file.read_bytes())
         if schema is None:
             first = text.lstrip("\ufeff\r\n").partition("\n")[0]
             schema = corpus_mod.TRAIN3COL if first.count("\t") == 2 else corpus_mod.TEST2COL
         return parse_corpus(text, schema)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
 
 
 def _load_lexicon_arg(path: str | None):
     if path is None:
         return EMPTY_LEXICON
-    try:
-        return load_lexicon(_read_text(path, LexiconError))
-    except LexiconError as exc:
-        raise LexiconError(f"{path}: {exc}") from None
+    with _file(path) as file:
+        return load_lexicon(decode_text(file.read_bytes(), LexiconError))
 
 
 def cmd_train(args) -> int:
@@ -87,6 +94,8 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    with _file(args.model) as model_path:
+        _check_writable(model_path)
     lexicon = _load_lexicon_arg(args.lexicon)
     parts = [_parse_file(path, corpus_mod.TRAIN3COL) for path in args.train]
     merged = merge_corpora(parts)
@@ -97,7 +106,8 @@ def cmd_train(args) -> int:
     except trainer.TrainingError as exc:
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write_file(args.model, save_model(model))
+    with _file(args.model) as model_path:
+        model_path.write_bytes(save_model(model))
     print(f"training sentences: {len(merged)}")
     print(f"training tokens: {merged.token_count()}")
     print(f"labels: {len(model.labels)}")
@@ -110,12 +120,8 @@ def cmd_train(args) -> int:
 
 
 def _load_model_arg(path: str):
-    try:
-        return load_model(Path(path).read_bytes())
-    except OSError as exc:
-        raise CorpusError(f"{path}: {exc.strerror or exc}") from None
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    with _file(path) as file:
+        return load_model(file.read_bytes())
 
 
 def cmd_tag(args) -> int:
@@ -123,7 +129,8 @@ def cmd_tag(args) -> int:
     source = _parse_file(args.input, corpus_mod.TEST2COL)
     # the model's own lexicon and catalogue
     tagged = tag_corpus(model, source)
-    _write_file(args.output, write_corpus(tagged, corpus_mod.TRAIN3COL).encode("utf-8"))
+    with _file(args.output) as output:
+        output.write_bytes(write_corpus(tagged, corpus_mod.TRAIN3COL).encode("utf-8"))
     return EXIT_OK
 
 

@@ -106,8 +106,7 @@ def parse_corpus(text: str, schema: str) -> Corpus:
     closed at end of input.  A leading byte-order mark is stripped.
     """
     ncols = _check_schema(schema)
-    if text.startswith("\ufeff"):
-        text = text[1:]
+    text = text.removeprefix("\ufeff")
 
     sentences: list[Sentence] = []
     current: list[Token] = []
@@ -129,10 +128,7 @@ def parse_corpus(text: str, schema: str) -> Corpus:
                 line=lineno,
             )
         try:
-            if ncols == 3:
-                token = Token(surface=cols[0], lang=cols[1], pos=cols[2])
-            else:
-                token = Token(surface=cols[0], lang=cols[1])
+            token = Token(*cols)
         except CorpusError as exc:
             raise CorpusError(str(exc), line=lineno) from None
         current.append(token)

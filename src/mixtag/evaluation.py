@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -46,11 +47,9 @@ def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
         raise EvaluationError(
             f"sentence count mismatch: gold {len(gold)}, predicted {len(pred)}"
         )
-    gold_counts: dict[str, int] = {}
-    pred_counts: dict[str, int] = {}
-    correct_counts: dict[str, int] = {}
-    total = 0
-    correct = 0
+    gold_counts: Counter[str] = Counter()
+    pred_counts: Counter[str] = Counter()
+    correct_counts: Counter[str] = Counter()
     for s, (gs, ps) in enumerate(zip(gold, pred)):
         if len(gs) != len(ps):
             raise EvaluationError(
@@ -64,27 +63,22 @@ def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
                 )
             if gt.pos is None or pt.pos is None:
                 raise EvaluationError(f"sentence {s}, token {t}: unlabeled token")
-            total += 1
-            gold_counts[gt.pos] = gold_counts.get(gt.pos, 0) + 1
-            pred_counts[pt.pos] = pred_counts.get(pt.pos, 0) + 1
+            gold_counts[gt.pos] += 1
+            pred_counts[pt.pos] += 1
             if gt.pos == pt.pos:
-                correct += 1
-                correct_counts[gt.pos] = correct_counts.get(gt.pos, 0) + 1
+                correct_counts[gt.pos] += 1
 
     per_label: dict[str, LabelScore] = {}
-    for label in sorted(set(gold_counts) | set(pred_counts)):
-        g = gold_counts.get(label, 0)
-        p = pred_counts.get(label, 0)
-        c = correct_counts.get(label, 0)
+    for label in sorted(gold_counts | pred_counts):
+        g, p, c = gold_counts[label], pred_counts[label], correct_counts[label]
         precision = _rate(c, p)
         recall = _rate(c, g)
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_label[label] = LabelScore(precision, recall, f1, g, p, c)
 
-    accuracy = _rate(correct, total)
-    macro = (
-        sum(s.f1 for s in per_label.values()) / len(per_label) if per_label else 0.0
-    )
+    total = gold_counts.total()
+    accuracy = _rate(correct_counts.total(), total)
+    macro = _rate(sum(s.f1 for s in per_label.values()), len(per_label))
     # one predicted and one gold tag per token: micro P = micro R = accuracy
     return EvalReport(per_label, accuracy, accuracy, macro, total)
 
@@ -96,14 +90,14 @@ def average_scores(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def round_half_up(value: float, digits: int = 2) -> float:
-    quantum = Decimal(1).scaleb(-digits)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    """``value`` rounded half up to two decimals."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def format_score(value: float) -> str:
     """Display form used in reports: two decimals, half-up."""
-    return f"{round_half_up(value, 2):.2f}"
+    return f"{round_half_up(value):.2f}"
 
 
 def render_report(report: EvalReport, style: str = "table") -> str:
@@ -117,8 +111,7 @@ def render_report(report: EvalReport, style: str = "table") -> str:
         return "\n".join(lines)
     if style != "table":
         raise ValueError(f"unknown report style {style!r}")
-    width = max((len(label) for label in report.per_label), default=5)
-    width = max(width, len("label"))
+    width = max([len("label"), *map(len, report.per_label)])
     header = f"{'label':<{width}}  {'P':>7}  {'R':>7}  {'F1':>7}  {'gold':>6}  {'pred':>6}  {'corr':>6}"
     lines = [header]
     for label, s in report.per_label.items():

@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Mapping
 
-from .corpus import Sentence, Token
+from .corpus import CorpusError, Sentence, Token
 
 VOWELS = frozenset("aeiouAEIOU")
 
@@ -35,14 +35,9 @@ BEGIN_SENTINEL = "<S>"
 END_SENTINEL = "</S>"
 
 
-class LexiconError(ValueError):
-    """Malformed normalization lexicon."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class LexiconError(CorpusError):
+    """Malformed normalization lexicon; like ``CorpusError``, it carries a
+    1-based ``line`` when known and then starts with ``line N: ``."""
 
 
 def escape_value(value: str) -> str:
@@ -50,26 +45,15 @@ def escape_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPED = {"t": "\t", "n": "\n"}
+
+
 def unescape_value(value: str) -> str:
-    if "\\" not in value:
-        return value
-    out = []
-    i = 0
-    while i < len(value):
-        c = value[i]
-        if c == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """The inverse of ``escape_value``: backslash-t is a tab, backslash-n a
+    line feed, and a backslash before any other character, line feed
+    included, stands for that character; a lone trailing backslash stays."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED.get(m[1], m[1]), value)
 
 
 class NormalizationLexicon:
@@ -108,8 +92,7 @@ EMPTY_LEXICON = NormalizationLexicon()
 
 def load_lexicon(text: str) -> NormalizationLexicon:
     """Parse a 2-column tab-separated lexicon; '#' lines are comments."""
-    if text.startswith("\ufeff"):
-        text = text[1:]
+    text = text.removeprefix("\ufeff")
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -273,8 +256,7 @@ def collapse_vowel_runs(surface: str) -> str:
 
 def normalize_short_form(surface: str, lexicon: NormalizationLexicon) -> str:
     """Exact-match lexicon lookup; a miss returns the surface unchanged."""
-    hit = lexicon.get(surface)
-    return hit if hit is not None else surface
+    return lexicon.get(surface, surface)
 
 
 def length_bucket(surface: str) -> str:

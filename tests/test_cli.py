@@ -142,6 +142,52 @@ class TestTrain:
         assert err == f"mixtag: {model}: {os.strerror(errno.ENOENT)}\n"
         assert "model written" not in out
 
+    @pytest.mark.parametrize("model_name,error", [
+        ("no-such-dir/m.txt", errno.ENOENT),
+        (".", errno.EISDIR),
+        ("train.txt/m.txt", errno.ENOTDIR),
+    ])
+    def test_model_path_checked_before_any_input(self, workdir, capsys, monkeypatch, model_name, error):
+        # the training file does not exist either: the model path is named first
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking --model")
+
+        monkeypatch.setattr(mixtag.trainer, "train", no_training)
+        model = workdir / model_name
+        before = sorted(workdir.iterdir())
+        code, out, err = run(
+            ["train", "--train", str(workdir / "absent.txt"), "--model", str(model)], capsys
+        )
+        assert code == 2
+        assert err == f"mixtag: {model}: {os.strerror(error)}\n"
+        assert out == ""
+        assert sorted(workdir.iterdir()) == before
+
+    def test_unwritable_model_directory_is_data_error(self, workdir, capsys, monkeypatch):
+        # as root every directory is writable, so the permission answer is
+        # stubbed where the check asks it
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        model = workdir / "m.txt"
+        code, _, err = run(
+            ["train", "--train", str(workdir / "train.txt"), "--model", str(model)], capsys
+        )
+        assert code == 2
+        assert err == f"mixtag: {model}: {os.strerror(errno.EACCES)}\n"
+        assert not model.exists()
+
+    def test_existing_model_untouched_on_numeric_failure(self, workdir, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise mixtag.trainer.TrainingError("objective became non-finite")
+
+        monkeypatch.setattr(mixtag.trainer, "train", diverge)
+        model = workdir / "model.txt"
+        model.write_bytes(b"an earlier model\n")
+        code, _, _ = run(
+            ["train", "--train", str(workdir / "train.txt"), "--model", str(model)], capsys
+        )
+        assert code == 3
+        assert model.read_bytes() == b"an earlier model\n"
+
     def test_disable_feature_accepted(self, workdir, capsys):
         code, _, _ = run(
             ["train", "--train", str(workdir / "train.txt"),

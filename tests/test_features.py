@@ -23,7 +23,7 @@ from mixtag.features import (
     unescape_value,
     vowel_count,
 )
-from mixtag.corpus import Token, decode_text
+from mixtag.corpus import CorpusError, Token, decode_text
 
 import datagen
 from conftest import apply_byte_edits, byte_edits, make_sentence, position_attributes
@@ -184,6 +184,13 @@ class TestLexicon:
     def test_wrong_column_count(self):
         with pytest.raises(LexiconError, match="line 1"):
             load_lexicon("krte korte\n")
+
+    def test_lexicon_error_is_a_corpus_error_with_line(self):
+        with pytest.raises(CorpusError) as info:
+            load_lexicon("krte\tkorte\nkrte\tkarte\n")
+        assert isinstance(info.value, LexiconError)
+        assert info.value.line == 2
+        assert str(info.value) == "line 2: duplicate key 'krte'"
 
     def test_comments_and_blanks_skipped(self):
         lex = load_lexicon("# comment\n\nkrte\tkorte\n")
@@ -497,6 +504,15 @@ class TestEscaping:
     @given(st.text(max_size=20))
     def test_round_trip(self, s):
         assert unescape_value(escape_value(s)) == s
+
+    @pytest.mark.parametrize("value,expected", [
+        ("\\q", "q"),
+        ("a\\", "a\\"),
+        ("\\\\t", "\\t"),
+        ("\\\n", "\n"),
+    ])
+    def test_spellings_escape_value_never_writes(self, value, expected):
+        assert unescape_value(value) == expected
 
     def test_removes_specials(self):
         assert "\t" not in escape_value("a\tb")

@@ -1,13 +1,14 @@
 """Linear-chain CRF machinery.
 
-Feature indexing and compilation, lattices of log-space scores,
-forward-backward (partition function and posterior marginals; scaled in
-probability space, with a log-space recursion where the transition scores
-span too widely for exp), max-plus Viterbi decoding, and line-oriented
-model persistence.  State features conjoin a position's attributes with
-its label; transition features are dense label bigrams applied between
-positions t-1 and t for t >= 2 (the first position carries state features
-only).
+Feature indexing, the compiled batch that training and tagging both score
+(the one place that knows the pair format and the weight layout), lattices
+of log-space scores, forward-backward (partition function and posterior
+marginals; scaled in probability space, with a log-space recursion where
+the transition scores span too widely for exp), max-plus Viterbi decoding,
+and line-oriented model persistence.  State features conjoin a position's
+attributes with its label; transition features are dense label bigrams
+applied between positions t-1 and t for t >= 2 (the first position carries
+state features only).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import base64
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,9 +80,9 @@ class FeatureIndex:
     retained attribute owns one row: its rank in ``attributes``.  Row r
     holds the L state slots L*L + r*L .. L*L + r*L + L-1, one per label, so
     ``weights[L*L:].reshape(-1, L)`` views the state weights as an
-    attribute x label matrix W_state.  ``compile`` turns attribute sets into
-    (token, row) pairs over the same rows, and every state score, in
-    training and tagging alike, sums the W_state rows of a token's pairs.
+    attribute x label matrix W_state.  ``compile`` turns sentences of
+    attribute sets into a ``Compiled`` batch of (token, row) pairs over the
+    same rows, and training and tagging alike score through the batch.
     """
 
     def __init__(self, n_labels: int, attributes: Sequence[str]):
@@ -97,58 +99,92 @@ class FeatureIndex:
         row = self._row.get(attribute)
         return None if row is None else self.n_labels * (self.n_labels + row)
 
-    def compile(self, attr_sets: Iterable[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols): the (token, attribute row) pair of each known
-        attribute, int64, in token and then set order; token k is set k.
-
-        A token without known attributes has no pair and scores 0 for every
-        label.  The sets are read once, so a caller may generate them.
-        """
+    def compile(self, sentences: Iterable[Sequence[Sequence[str]]]) -> Compiled:
+        """Compile sentences, each a sequence of attribute sets, one per
+        token, as ``extract_corpus_attributes`` yields them.  The sentences
+        are read once, so a caller may generate them."""
+        lengths: list[int] = []
         sizes: list[int] = []
 
-        def counted():
-            for attrs in attr_sets:
-                sizes.append(len(attrs))
-                yield attrs
+        def attr_sets():
+            for sentence in sentences:
+                lengths.append(len(sentence))
+                sizes.extend(map(len, sentence))
+                yield from sentence
 
         cols = np.fromiter(
-            map(self._row.get, chain.from_iterable(counted()), repeat(-1)), dtype=np.int64
+            map(self._row.get, chain.from_iterable(attr_sets()), repeat(-1)), dtype=np.int64
         )
         known = cols >= 0
         rows = np.repeat(np.arange(len(sizes)), sizes)
-        return rows[known], cols[known]
+        return Compiled(self, rows[known], cols[known], np.array([0, *accumulate(lengths)]))
 
 
-def _pair_bins(dest: np.ndarray, n_labels: int) -> np.ndarray:
-    """The ``_sum_pairs`` bins that send pairs to rows ``dest``: dest*L + label,
-    L per pair, pair by pair."""
-    return ((dest * n_labels)[:, None] + np.arange(n_labels)).ravel()
+@dataclass
+class Compiled:
+    """Sentences compiled against a ``FeatureIndex``, for training and tagging.
 
-
-def _sum_pairs(bins: np.ndarray, src: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """out[dest[k]] += values[src[k]] for every pair k, in pair order from 0,
-    where ``bins`` is ``_pair_bins(dest, L)``; out has n rows.  Sums the
-    compiled pairs in both directions."""
-    L = values.shape[1]
-    terms = values.take(src, axis=0)  # faster than values[src]
-    return np.bincount(bins, weights=terms.ravel(), minlength=n * L).reshape(n, L)
-
-
-def _scores(
-    weights: np.ndarray, n_labels: int, bins: np.ndarray, cols: np.ndarray, tokens: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """State scores (tokens, L) and transition scores (L, L), all finite.
-
-    A token's state scores sum the W_state rows of its pairs; ``bins`` is
-    ``_pair_bins(rows, L)`` of the pairs' tokens.  Training, lattices and
-    ``tag_corpus`` all score through here.
+    Tokens are stacked in order; sentence s covers tokens
+    ``offsets[s]:offsets[s + 1]``.  Each known attribute a token fires is
+    one (token, attribute row) pair ``(rows[k], cols[k])``, int64, in token
+    and then set order, so a token without one scores 0 for every label.
+    The ``bincount`` bins of both pair directions are built on first use
+    and kept.
     """
-    L = n_labels
-    trans = weights[: L * L].reshape(L, L)
-    state = _sum_pairs(bins, cols, weights[L * L:].reshape(-1, L), tokens)
-    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
-        raise ValueError("non-finite lattice score")
-    return state, trans
+
+    index: FeatureIndex
+    rows: np.ndarray  # (pairs,) token of each pair
+    cols: np.ndarray  # (pairs,) attribute row of each pair
+    offsets: np.ndarray  # (sentences + 1,)
+
+    def _bins(self, dest: np.ndarray) -> np.ndarray:
+        """dest*L + label: L bins per pair, pair by pair."""
+        L = self.index.n_labels
+        return ((dest * L)[:, None] + np.arange(L)).ravel()
+
+    @cached_property
+    def _state_bins(self) -> np.ndarray:
+        return self._bins(self.rows)  # each pair's token
+
+    @cached_property
+    def _count_bins(self) -> np.ndarray:
+        return self._bins(self.cols + self.index.n_labels)  # each pair's state slots
+
+    def scores(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """State scores (tokens, L) and transition scores (L, L), all finite.
+        A token's state scores sum the W_state rows of its pairs in pair order."""
+        L, tokens = self.index.n_labels, int(self.offsets[-1])
+        trans = weights[: L * L].reshape(L, L)
+        terms = weights[L * L:].reshape(-1, L).take(self.cols, axis=0)  # faster than W[cols]
+        state = np.bincount(
+            self._state_bins, weights=terms.ravel(), minlength=tokens * L
+        ).reshape(tokens, L)
+        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
+            raise ValueError("non-finite lattice score")
+        return state, trans
+
+    def counts(self, node: np.ndarray, trans: np.ndarray) -> np.ndarray:
+        """Counts laid out as the weights: ``trans`` (L, L) in the transition
+        slots, and in each state slot the sum of ``node`` (tokens, L) over
+        the pairs of its attribute row, in pair order."""
+        L = self.index.n_labels
+        terms = node.take(self.rows, axis=0)
+        counts = np.bincount(self._count_bins, weights=terms.ravel(), minlength=self.index.size)
+        counts[: L * L] = trans.ravel()  # no pair lands there
+        return counts
+
+    def gold_counts(self, label_ids: np.ndarray) -> np.ndarray:
+        """The count of every parameter slot under the gold label ids
+        (tokens,): one per known attribute a token fires, one per adjacent
+        label pair in a sentence."""
+        L = self.index.n_labels
+        has_prev = np.ones(len(label_ids), dtype=bool)
+        has_prev[self.offsets[:-1]] = False
+        state_slots = L * L + self.cols * L + label_ids[self.rows]
+        trans_slots = label_ids[:-1][has_prev[1:]] * L + label_ids[has_prev]
+        return np.bincount(
+            np.concatenate([trans_slots, state_slots]), minlength=self.index.size
+        ).astype(np.float64)
 
 
 @dataclass
@@ -257,11 +293,7 @@ def index_features(
 
 def build_lattice(model: Model, attrs: Sequence[tuple[str, ...]]) -> Lattice:
     """Score every (position, label) pair; unknown attributes contribute 0."""
-    if not attrs:
-        raise ValueError("attribute sequence must be nonempty")
-    L = len(model.labels)
-    rows, cols = model.index.compile(attrs)
-    return Lattice(*_scores(model.weights, L, _pair_bins(rows, L), cols, len(attrs)))
+    return Lattice(*model.index.compile([attrs]).scores(model.weights))
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:

@@ -67,9 +67,8 @@ class NormalizationLexicon:
             if "\t" in key or "\t" in value:
                 raise LexiconError("lexicon entries must not contain tabs")
         self._entries = entries
-        self._fingerprint = "empty" if not entries else hashlib.sha256(
-            "".join(f"{key}\t{value}\n" for key, value in self.sorted_items()).encode()
-        ).hexdigest()[:16]
+        text = "".join(f"{escape_value(k)}\t{escape_value(v)}\n" for k, v in self.sorted_items())
+        self._fingerprint = hashlib.sha256(text.encode()).hexdigest()[:16] if entries else "empty"
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -82,8 +81,9 @@ class NormalizationLexicon:
         return sorted(self._entries.items())
 
     def fingerprint(self) -> str:
-        """16 hex digits of the SHA-256 of the sorted entries, or "empty";
-        computed once, when the lexicon is built."""
+        """16 hex digits of the SHA-256 of the sorted entries, each escaped
+        as the model file spells it, or "empty"; computed once, when the
+        lexicon is built."""
         return self._fingerprint
 
 

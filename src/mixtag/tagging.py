@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
-import numpy as np
-
 from .corpus import Corpus, Sentence, Token
-from .crf import Model, _pair_bins, _scores, _viterbi, viterbi
+from .crf import Model, _viterbi, viterbi
 from .features import (
     FeatureCatalogue,
     NormalizationLexicon,
@@ -48,24 +45,21 @@ def tag_corpus(
     explicit ``lexicon`` or ``catalogue`` must match the model's (else
     ValueError).
 
-    The corpus is one batch: extracted and compiled in one pass, scored
-    once, and decoded by one batched Viterbi.  The result equals
+    The corpus is one ``crf.Compiled`` batch, as in training: extracted
+    and compiled in one pass, scored once, and decoded by one batched
+    Viterbi.  The result equals
     ``tag_sentence`` on each sentence.
     """
     lexicon, catalogue = model.features(lexicon, catalogue)
     if not corpus.sentences:
         return Corpus(())
     # streamed into compile, so no token's attribute strings outlive its row
-    attrs = chain.from_iterable(extract_corpus_attributes(corpus, lexicon, catalogue))
-    offsets = np.cumsum([0, *map(len, corpus)])
-    L = len(model.labels)
-    rows, cols = model.index.compile(attrs)
-    state, trans = _scores(model.weights, L, _pair_bins(rows, L), cols, offsets[-1])
-    label_ids, _ = _viterbi(state, trans, offsets)
+    batch = model.index.compile(extract_corpus_attributes(corpus, lexicon, catalogue))
+    label_ids, _ = _viterbi(*batch.scores(model.weights), batch.offsets)
     labels = [model.labels[y] for y in label_ids.tolist()]
     return Corpus(
         tuple(
             _relabel(sentence, labels[a:b])
-            for sentence, a, b in zip(corpus, offsets, offsets[1:])
+            for sentence, a, b in zip(corpus, batch.offsets, batch.offsets[1:])
         )
     )

@@ -15,21 +15,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .corpus import Corpus
-from .crf import (
-    FeatureIndex,
-    LabelSet,
-    Model,
-    index_features,
-    _forward_backward,
-    _pair_bins,
-    _scores,
-    _sum_pairs,
-)
+from .crf import Compiled, FeatureIndex, LabelSet, Model, index_features, _forward_backward
 from .features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
@@ -88,38 +78,23 @@ class TrainReport:
 class IndexedCorpus:
     """Training corpus compiled against a label set and feature index.
 
-    Tokens of all sentences are stacked in corpus order.  ``rows`` and
-    ``cols`` are the (token, attribute row) pairs from
-    ``FeatureIndex.compile``, and the objective scores them through
-    ``crf._scores``, as tagging does.  Sentence s covers
-    tokens ``offsets[s]:offsets[s + 1]``.  ``empirical`` holds the gold
-    feature count of every parameter slot.  The ``_sum_pairs`` bins of both
-    pair directions depend on the corpus alone; each is built on first use
-    and kept for every later evaluation.
+    ``batch`` holds the corpus's (token, attribute row) pairs and sentence
+    offsets, tokens stacked in corpus order, and scores them as tagging
+    does.  ``label_ids`` are the gold label ids of the stacked tokens, and
+    ``empirical`` holds the gold feature count of every parameter slot.
     """
 
     labels: LabelSet
-    index: FeatureIndex
-    rows: np.ndarray  # (pairs,) token of each pair
-    cols: np.ndarray  # (pairs,) attribute row of each pair
+    batch: Compiled
     label_ids: np.ndarray  # (tokens,) gold label ids
-    offsets: np.ndarray  # (sentences + 1,)
     empirical: np.ndarray  # (index.size,)
+
+    @property
+    def index(self) -> FeatureIndex:
+        return self.batch.index
 
     def token_count(self) -> int:
         return len(self.label_ids)
-
-    @cached_property
-    def state_bins(self) -> np.ndarray:
-        """Bins that sum each token's pairs: rows*L + label."""
-        return _pair_bins(self.rows, self.index.n_labels)
-
-    @cached_property
-    def count_bins(self) -> np.ndarray:
-        """Bins that sum each attribute row's pairs into its parameter slots,
-        L*L + cols*L + label, past the L*L transition slots."""
-        L = self.index.n_labels
-        return _pair_bins(self.cols + L, L)
 
 
 def index_corpus(
@@ -136,23 +111,11 @@ def index_corpus(
     if unlabeled:
         raise ValueError(f"unlabeled training token {unlabeled[0]!r}")
     labels = LabelSet(sorted({token.pos for token in tokens}))
-    L = len(labels)
 
     all_attrs = list(extract_corpus_attributes(corpus, lexicon, catalogue))
-    index = index_features(all_attrs, labels, cutoff)
-    rows, cols = index.compile(attrs for sentence_attrs in all_attrs for attrs in sentence_attrs)
+    batch = index_features(all_attrs, labels, cutoff).compile(all_attrs)
     label_ids = np.array([labels.index(token.pos) for token in tokens], dtype=np.int64)
-    offsets = np.cumsum([0] + [len(sentence) for sentence in corpus])
-
-    # gold slots: one per fired retained attribute, one per adjacent label pair
-    has_prev = np.ones(len(label_ids), dtype=bool)
-    has_prev[offsets[:-1]] = False
-    state_slots = L * L + cols * L + label_ids[rows]
-    trans_slots = label_ids[:-1][has_prev[1:]] * L + label_ids[has_prev]
-    empirical = np.bincount(
-        np.concatenate([trans_slots, state_slots]), minlength=index.size
-    ).astype(np.float64)
-    return IndexedCorpus(labels, index, rows, cols, label_ids, offsets, empirical)
+    return IndexedCorpus(labels, batch, label_ids, batch.gold_counts(label_ids))
 
 
 def objective_and_gradient(
@@ -163,16 +126,13 @@ def objective_and_gradient(
     The value is sum(log Z) - w.empirical + ||w||^2 / (2 sigma^2); the
     gradient is expected counts - empirical counts + w / sigma^2.
     """
-    L = corpus.index.n_labels
+    batch = corpus.batch
     weights = np.asarray(weights, dtype=np.float64)
-    state, trans = _scores(weights, L, corpus.state_bins, corpus.cols, corpus.token_count())
-    node, edge, log_z = _forward_backward(state, trans, corpus.offsets)
+    node, edge, log_z = _forward_backward(*batch.scores(weights), batch.offsets)
 
     value = float(log_z.sum()) - _dot(weights, corpus.empirical)
     value += _dot(weights, weights) / (2.0 * l2_sigma2)
-    # expected counts, laid out as the weights; no pair lands in the first L*L
-    grad = _sum_pairs(corpus.count_bins, corpus.rows, node, corpus.index.size // L).ravel()
-    grad[: L * L] = edge.sum(axis=0).ravel()
+    grad = batch.counts(node, edge.sum(axis=0))  # expected counts, laid out as the weights
     grad -= corpus.empirical
     grad += weights / l2_sigma2
     return value, grad

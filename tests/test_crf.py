@@ -1,5 +1,6 @@
 import base64
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestModel:
         with pytest.raises(ValueError, match="2 labels do not match the index's 3"):
             Model(LabelSet(["A", "B"]), FeatureIndex(3, ["W0=a"]), np.zeros(12))
 
+    def test_lexicons_that_differ_in_line_breaks_do_not_match(self):
+        # hashed unescaped, both lexicons read "a\tb\nc\td\te\n" (5e762f8623f4ba23)
+        one = NormalizationLexicon({"a": "b\nc", "d": "e"})
+        other = NormalizationLexicon({"a": "b", "c\nd": "e"})
+        assert one.fingerprint() != other.fingerprint()
+        model = Model(LabelSet(["A"]), FeatureIndex(1, []), np.zeros(1), lexicon=one)
+        with pytest.raises(ValueError, match="lexicon .* does not match"):
+            model.features(lexicon=other)
+        with pytest.raises(ValueError, match="lexicon .* does not match"):
+            replace(model, lexicon=other).features(lexicon=one)
+
 
 class TestLattice:
     def test_empty_rejected(self):
@@ -114,6 +126,12 @@ class TestLattice:
         # raise IndexError on it
         with pytest.raises(ValueError, match="at least one position"):
             Lattice(np.zeros((0, 3)), np.zeros((3, 3)))
+
+    def test_empty_attribute_sequence_rejected(self):
+        # build_lattice leaves the check to Lattice
+        model = model_from_lattice(np.zeros((1, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="at least one position"):
+            build_lattice(model, [])
 
 
 class TestBuildLattice:

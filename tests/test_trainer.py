@@ -11,15 +11,12 @@ import pytest
 import mixtag
 from mixtag import trainer
 from mixtag.corpus import Corpus, Sentence, Token
-from mixtag.crf import (
-    Model,
-    _forward_backward,
-    _pair_bins,
-    _scores,
-    build_lattice,
-    log_partition,
+from mixtag.crf import Model, _forward_backward, build_lattice, log_partition
+from mixtag.features import (
+    FeatureCatalogue,
+    extract_corpus_attributes,
+    extract_sentence_attributes,
 )
-from mixtag.features import FeatureCatalogue, extract_sentence_attributes
 from mixtag.trainer import (
     GRADIENT_TOLERANCE,
     StopReason,
@@ -90,7 +87,7 @@ class TestObjective:
             *(f for f in FeatureCatalogue.family_names() if f != "length")
         )
         sparse_rows = index_corpus(toy_corpus(), catalogue=length_only, cutoff=2)
-        assert np.any(np.bincount(sparse_rows.rows, minlength=sparse_rows.token_count()) == 0)
+        assert np.any(np.bincount(sparse_rows.batch.rows, minlength=sparse_rows.token_count()) == 0)
         sigma2 = 10.0
         for indexed in (index_corpus(toy_corpus(), catalogue=LEAN), sparse_rows):
             for _ in range(3):
@@ -130,26 +127,44 @@ class TestBatchedObjective:
 
 
 class TestStoredBins:
-    """The objective's pair bins are built once per corpus and never written."""
+    """The batch's pair bins are built once per corpus and never written."""
 
-    ARRAYS = ("rows", "cols", "label_ids", "offsets", "empirical", "state_bins", "count_bins")
+    BINS = ("_state_bins", "_count_bins")
+
+    @classmethod
+    def arrays(cls, indexed):
+        batch = indexed.batch
+        return {
+            "label_ids": indexed.label_ids,
+            "empirical": indexed.empirical,
+            **{name: getattr(batch, name) for name in ("rows", "cols", "offsets", *cls.BINS)},
+        }
 
     def test_index_corpus_builds_no_bins(self):
         indexed = index_corpus(toy_corpus())
-        assert not {"state_bins", "count_bins"} & set(vars(indexed))
+        assert not set(self.BINS) & set(vars(indexed.batch))
 
     def test_weights_and_corpus_arrays_unchanged(self, rng):
         indexed = index_corpus(toy_corpus())
         w = rng.standard_normal(indexed.index.size)
         w_before = w.copy()
-        before = {name: getattr(indexed, name).copy() for name in self.ARRAYS}
+        before = {name: array.copy() for name, array in self.arrays(indexed).items()}
         for _ in range(2):
             _, grad = objective_and_gradient(w, indexed, 10.0)
             grad += 1.0  # the caller owns the gradient
             assert np.array_equal(w, w_before)
-            for name in self.ARRAYS:
-                assert np.array_equal(getattr(indexed, name), before[name]), name
-                assert getattr(indexed, name).dtype == before[name].dtype, name
+            for name, array in self.arrays(indexed).items():
+                assert np.array_equal(array, before[name]), name
+                assert array.dtype == before[name].dtype, name
+
+    def test_batch_equals_compile_of_extracted_attributes(self):
+        corpus = toy_corpus()
+        indexed = index_corpus(corpus, catalogue=LEAN)
+        # compile reads its sentences once, so a generator will do
+        batch = indexed.index.compile(extract_corpus_attributes(corpus, catalogue=LEAN))
+        for name in ("rows", "cols", "offsets"):
+            assert np.array_equal(getattr(batch, name), getattr(indexed.batch, name)), name
+        assert batch.offsets.tolist() == [0, 3, 5, 7, 10, 11]
 
     def test_second_evaluation_is_bit_equal(self, rng):
         indexed = index_corpus(toy_corpus())
@@ -203,14 +218,14 @@ class TestExactSums:
         L, n = indexed.index.n_labels, indexed.token_count()
         w = rng.standard_normal(indexed.index.size)
         W = w[L * L:].reshape(-1, L)
-        rows, cols = indexed.rows.tolist(), indexed.cols.tolist()
+        rows, cols = indexed.batch.rows.tolist(), indexed.batch.cols.tolist()
         assert rows == sorted(rows) and len(rows) > n
 
         state = np.zeros((n, L))
         for t, c in zip(rows, cols):
             for y in range(L):
                 state[t, y] += W[c, y]
-        got, trans = _scores(w, L, _pair_bins(indexed.rows, L), indexed.cols, n)
+        got, trans = index_corpus(toy_corpus()).batch.scores(w)  # builds its bins afresh
         assert np.array_equal(got, state)
         assert np.array_equal(trans, w[: L * L].reshape(L, L))
 
@@ -238,11 +253,12 @@ class TestExactSums:
     def test_unknown_attributes_score_zero(self, rng):
         indexed = index_corpus(toy_corpus(), catalogue=LEAN)
         known = indexed.index.attributes
-        rows, cols = indexed.index.compile([("?",), (known[2], "?", known[0]), (), ("?",)])
-        assert rows.tolist() == [1, 1] and cols.tolist() == [2, 0]
+        batch = indexed.index.compile([[("?",), (known[2], "?", known[0])], [(), ("?",)]])
+        assert batch.rows.tolist() == [1, 1] and batch.cols.tolist() == [2, 0]
+        assert batch.offsets.tolist() == [0, 2, 4]
         w = rng.standard_normal(indexed.index.size)
         L = indexed.index.n_labels
-        state, _ = _scores(w, L, _pair_bins(rows, L), cols, 4)
+        state, _ = batch.scores(w)
         W = w[L * L:].reshape(-1, L)
         assert np.array_equal(state[[0, 2, 3]], np.zeros((3, L)))
         assert np.array_equal(state[1], 0.0 + W[2] + W[0])

@@ -187,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training file (repeatable; files are merged)")
     p.add_argument("--lexicon", metavar="FILE", help="normalization lexicon")
     p.add_argument("--model", required=True, metavar="FILE", help="model output path")
-    p.add_argument("--cutoff", type=int, default=1, help="attribute frequency cutoff")
-    p.add_argument("--sigma2", type=float, default=10.0, help="L2 penalty sigma^2")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-5,
+    defaults = trainer.TrainConfig()
+    p.add_argument("--cutoff", type=int, default=defaults.cutoff, help="attribute frequency cutoff")
+    p.add_argument("--sigma2", type=float, default=defaults.l2_sigma2, help="L2 penalty sigma^2")
+    p.add_argument("--max-iter", type=int, default=defaults.max_iterations)
+    p.add_argument("--tol", type=float, default=defaults.tolerance,
                    help="relative objective-change stopping tolerance")
     p.add_argument("--disable-feature", action="append", default=[],
                    metavar="FAMILY",

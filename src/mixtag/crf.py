@@ -74,7 +74,9 @@ class LabelSet:
 
 
 class FeatureIndex:
-    """Parameter layout shared by training and tagging.
+    """Parameter layout shared by training and tagging: the label set and
+    the retained attributes, strictly sorted (else ValueError) as a model
+    file stores them.
 
     The first L*L slots hold the transition weights, slot yp*L + y.  Each
     retained attribute owns one row: its rank in ``attributes``.  Row r
@@ -85,15 +87,15 @@ class FeatureIndex:
     same rows, and training and tagging alike score through the batch.
     """
 
-    def __init__(self, n_labels: int, attributes: Sequence[str]):
-        if n_labels <= 0:
-            raise ValueError("label count must be positive")
-        self.n_labels = n_labels
+    def __init__(self, labels: LabelSet, attributes: Sequence[str]):
+        self.labels = labels
+        self.n_labels = L = len(labels)
         self.attributes = tuple(attributes)
         self._row = dict(zip(self.attributes, range(len(self.attributes))))
-        if len(self._row) != len(self.attributes):
-            raise ValueError("duplicate attribute")
-        self.size = n_labels * n_labels + len(self.attributes) * n_labels
+        # sorting sorted input is one linear pass, faster than _strictly_sorted
+        if len(self._row) != len(self.attributes) or sorted(self._row) != list(self.attributes):
+            raise ValueError("attributes not strictly sorted")
+        self.size = L * L + len(self.attributes) * L
 
     def state_base(self, attribute: str) -> int | None:
         row = self._row.get(attribute)
@@ -191,11 +193,11 @@ class Compiled:
 class Model:
     """Weights plus the features they were trained on.
 
-    A model is applied with its own catalogue and lexicon, and its file
-    stores both.
+    The index owns the label set and the attribute order, so any model
+    that builds saves to a file ``load_model`` reads.  A model is applied
+    with its own catalogue and lexicon, and its file stores both.
     """
 
-    labels: LabelSet
     index: FeatureIndex
     weights: np.ndarray
     catalogue: FeatureCatalogue = FeatureCatalogue()
@@ -203,10 +205,6 @@ class Model:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.labels) != self.index.n_labels:
-            raise ValueError(
-                f"{len(self.labels)} labels do not match the index's {self.index.n_labels}"
-            )
         if self.weights.shape != (self.index.size,):
             raise ValueError(
                 f"weight count {self.weights.shape} does not match "
@@ -218,6 +216,10 @@ class Model:
             raise ValueError(
                 f"a model's lexicon must be a NormalizationLexicon, not {self.lexicon!r}"
             )
+
+    @property
+    def labels(self) -> LabelSet:
+        return self.index.labels
 
     def features(
         self,
@@ -277,8 +279,8 @@ def index_features(
     """Build the slot layout from training attribute sets.
 
     An attribute is retained when its corpus occurrence count reaches the
-    cutoff; retained attributes are conjoined with every label.  Transition
-    slots always cover all label pairs.
+    cutoff; retained attributes, in sorted order, are conjoined with every
+    label.  Transition slots always cover all label pairs.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -288,7 +290,7 @@ def index_features(
     counts = Counter(chain.from_iterable(tokens))
     retained = [a for a, n in counts.items() if n >= cutoff]
     retained.sort()
-    return FeatureIndex(len(labels), retained)
+    return FeatureIndex(labels, retained)
 
 
 def build_lattice(model: Model, attrs: Sequence[tuple[str, ...]]) -> Lattice:
@@ -508,7 +510,7 @@ def viterbi_lattice(lattice: Lattice) -> tuple[list[int], float]:
 def viterbi(model: Model, attrs: Sequence[tuple[str, ...]]) -> tuple[list[str], float]:
     lattice = build_lattice(model, attrs)
     path, score = viterbi_lattice(lattice)
-    return [model.labels[y] for y in path], score
+    return list(map(model.labels.__getitem__, path)), score
 
 
 def _unescape_lines(lines: list[str], what: str) -> list[str]:
@@ -528,17 +530,11 @@ def _strictly_sorted(values: Sequence[str]) -> bool:
 
 def save_model(model: Model) -> bytes:
     """Serialize to format v2, the one spelling ``load_model`` accepts."""
-    labels, L = model.labels, len(model.labels)
-    attributes, weights = model.index.attributes, model.weights
-    if not _strictly_sorted(attributes):
-        # an index built by hand may be unsorted; the file has one row order
-        order = sorted(range(len(attributes)), key=attributes.__getitem__)
-        attributes = [attributes[i] for i in order]
-        weights = np.concatenate([weights[: L * L], weights[L * L:].reshape(-1, L)[order].ravel()])
+    labels, attributes = model.labels, model.index.attributes
     lexicon = model.lexicon.sorted_items()
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
-        f"labels {L}",
+        f"labels {len(labels)}",
         *labels,
         f"catalogue {model.catalogue.fingerprint()}",
         f"lexicon {len(lexicon)}",
@@ -546,7 +542,7 @@ def save_model(model: Model) -> bytes:
         f"attributes {len(attributes)}",
         *map(escape_value, attributes),
         "weights",
-        base64.b64encode(weights.astype("<f8").tobytes()).decode("ascii"),
+        base64.b64encode(model.weights.astype("<f8").tobytes()).decode("ascii"),
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -589,8 +585,9 @@ def load_model(data: bytes) -> Model:
     """Parse a model file in format v2; anything else raises ModelFormatError.
 
     A file loads only in the spelling ``save_model`` writes, so
-    ``save_model(load_model(b)) == b``.  Version 1 files, which did not
-    store the lexicon, are rejected with a message to retrain the model.
+    ``save_model(load_model(b)) == b``; its ``FeatureIndex`` rejects
+    unsorted attributes.  Version 1 files, which did not store the
+    lexicon, are rejected with a message to retrain the model.
     """
     try:
         lines = _Lines(data.decode("utf-8"))
@@ -630,8 +627,10 @@ def load_model(data: bytes) -> Model:
         raise ModelFormatError(f"bad lexicon block: {exc}") from None
 
     attributes = _unescape_lines(lines.take(lines.count("attributes")), "attribute")
-    if not _strictly_sorted(attributes):
-        raise ModelFormatError("attributes not strictly sorted")
+    try:
+        index = FeatureIndex(labels, attributes)
+    except ValueError as exc:  # attributes not strictly sorted
+        raise ModelFormatError(str(exc)) from None
 
     lines.expect("weights")
     encoded = lines.take(1)[0]
@@ -642,16 +641,13 @@ def load_model(data: bytes) -> Model:
     # decoding ignores the unused low bits of the last digit; encoding zeroes them
     if base64.b64encode(raw) != encoded.encode("ascii"):
         raise ModelFormatError("non-canonical weights line")
-    expected = len(labels) * (len(labels) + len(attributes))
-    if len(raw) != 8 * expected:
-        raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {expected}")
+    if len(raw) != 8 * index.size:
+        raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {index.size}")
     if lines.pos != len(lines.lines):
         raise ModelFormatError("trailing garbage after weights block")
 
-    # strictly sorted attributes hold no duplicate, so the index is valid
-    index = FeatureIndex(len(labels), attributes)
     weights = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     try:
-        return Model(labels, index, weights, catalogue, lexicon)
+        return Model(index, weights, catalogue, lexicon)
     except ValueError as exc:  # a non-finite weight
         raise ModelFormatError(f"bad weights block: {exc}") from None

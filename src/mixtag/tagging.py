@@ -56,7 +56,7 @@ def tag_corpus(
     # streamed into compile, so no token's attribute strings outlive its row
     batch = model.index.compile(extract_corpus_attributes(corpus, lexicon, catalogue))
     label_ids, _ = _viterbi(*batch.scores(model.weights), batch.offsets)
-    labels = [model.labels[y] for y in label_ids.tolist()]
+    labels = list(map(model.labels.__getitem__, label_ids.tolist()))
     return Corpus(
         tuple(
             _relabel(sentence, labels[a:b])

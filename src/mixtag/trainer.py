@@ -76,15 +76,15 @@ class TrainReport:
 
 @dataclass
 class IndexedCorpus:
-    """Training corpus compiled against a label set and feature index.
+    """Training corpus compiled against a feature index.
 
     ``batch`` holds the corpus's (token, attribute row) pairs and sentence
     offsets, tokens stacked in corpus order, and scores them as tagging
-    does.  ``label_ids`` are the gold label ids of the stacked tokens, and
-    ``empirical`` holds the gold feature count of every parameter slot.
+    does.  ``label_ids`` are the gold ids, in ``index.labels``, of the
+    stacked tokens, and ``empirical`` holds the gold feature count of
+    every parameter slot.
     """
 
-    labels: LabelSet
     batch: Compiled
     label_ids: np.ndarray  # (tokens,) gold label ids
     empirical: np.ndarray  # (index.size,)
@@ -115,7 +115,7 @@ def index_corpus(
     all_attrs = list(extract_corpus_attributes(corpus, lexicon, catalogue))
     batch = index_features(all_attrs, labels, cutoff).compile(all_attrs)
     label_ids = np.array([labels.index(token.pos) for token in tokens], dtype=np.int64)
-    return IndexedCorpus(labels, batch, label_ids, batch.gold_counts(label_ids))
+    return IndexedCorpus(batch, label_ids, batch.gold_counts(label_ids))
 
 
 def objective_and_gradient(
@@ -233,11 +233,4 @@ def train(
     report.final_objective = value
     report.wall_time = time.perf_counter() - start
 
-    model = Model(
-        indexed.labels,
-        indexed.index,
-        weights,
-        catalogue=catalogue,
-        lexicon=lexicon,
-    )
-    return model, report
+    return Model(indexed.index, weights, catalogue, lexicon), report

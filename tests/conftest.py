@@ -37,7 +37,8 @@ def position_attributes(
 
 
 def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:
-    """Wrap raw lattice scores in a Model whose attributes are A0..A{T-1}.
+    """Wrap raw lattice scores in a Model whose attributes are A0..A{T-1},
+    in sorted order (A10 sorts before A2).
 
     Position t fires the single attribute "A{t}", so build_lattice
     reproduces exactly the given state matrix.
@@ -48,13 +49,13 @@ def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:
     if labels is None:
         labels = LabelSet([f"y{i}" for i in range(L)])
     attrs = [f"A{t}" for t in range(T)]
-    index = FeatureIndex(L, attrs)
+    index = FeatureIndex(labels, sorted(attrs))
     weights = np.zeros(index.size)
     weights[: L * L] = trans.ravel()
     for t, a in enumerate(attrs):
         base = index.state_base(a)
         weights[base:base + L] = state[t]
-    return Model(labels, index, weights)
+    return Model(index, weights)
 
 
 @pytest.fixture

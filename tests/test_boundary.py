@@ -2,7 +2,9 @@
 
 The pair format and the weight layout live in ``crf.Compiled``; ``trainer``
 and ``tagging`` take from ``crf`` no private name other than the two
-batched recursions.  The modules are read with ``ast``, not imported.
+batched recursions.  The parameter layout is built and sized in ``crf``
+alone: no other module constructs a ``FeatureIndex`` or reads its label
+count.  The modules are read with ``ast``, not imported.
 """
 
 import ast
@@ -30,3 +32,31 @@ def private_crf_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", ["trainer", "tagging"])
 def test_only_the_recursions_are_imported_privately(module):
     assert private_crf_imports(module) <= RECURSIONS
+
+
+def layout_uses(module: str) -> list[str]:
+    """Each ``FeatureIndex(...)`` call and ``.n_labels`` read in a module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "FeatureIndex":
+                uses.append(f"FeatureIndex( at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "n_labels":
+            uses.append(f".n_labels at line {node.lineno}")
+    return uses
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in SRC.glob("*.py") if path.stem != "crf")
+)
+def test_only_crf_builds_and_sizes_the_layout(module):
+    assert layout_uses(module) == []
+
+
+def test_layout_check_sees_crf():
+    # the check finds what it looks for where it is allowed
+    assert any(use.startswith("FeatureIndex(") for use in layout_uses("crf"))
+    assert any(use.startswith(".n_labels") for use in layout_uses("crf"))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import mixtag
-from mixtag.cli import main
+from mixtag.cli import build_parser, main
 from mixtag.corpus import TRAIN3COL, TEST2COL, parse_corpus, write_corpus
 from mixtag.crf import load_model
 from mixtag.features import EMPTY_LEXICON, FeatureCatalogue, extract_sentence_attributes, load_lexicon
 from mixtag.tagging import tag_corpus, tag_sentence
+from mixtag.trainer import TrainConfig
 
 from conftest import position_attributes
 from datagen import separable_corpus, strip_labels
@@ -130,6 +131,12 @@ class TestTrain:
         assert code == 1
         assert message in err
         assert not model.exists()
+
+    def test_defaults_are_the_train_config_defaults(self):
+        args = build_parser().parse_args(["train", "--train", "t.txt", "--model", "m.txt"])
+        config = TrainConfig(cutoff=args.cutoff, l2_sigma2=args.sigma2,
+                             max_iterations=args.max_iter, tolerance=args.tol)
+        assert config == TrainConfig()
 
     def test_unwritable_model_path_is_data_error(self, workdir, capsys):
         model = workdir / "no-such-dir" / "m.txt"

@@ -46,10 +46,10 @@ class TestTagCorpus:
 
     def test_overflowing_scores_raise(self):
         # two finite weights whose sum overflows to inf
-        index = FeatureIndex(2, ["LEN=L_1", "VC=0"])
+        index = FeatureIndex(LabelSet(["A", "B"]), ["LEN=L_1", "VC=0"])
         weights = np.zeros(index.size)
         weights[index.state_base("LEN=L_1")] = weights[index.state_base("VC=0")] = 1e308
-        model = Model(LabelSet(["A", "B"]), index, weights)
+        model = Model(index, weights)
         corpus = Corpus((make_sentence(("x", "en")),))
         with pytest.raises(ValueError, match="non-finite"):
             tag_sentence(model, corpus.sentences[0])

@@ -103,11 +103,11 @@ class TestBatchedObjective:
         corpus = toy_corpus()
         indexed = index_corpus(corpus, catalogue=LEAN)
         w = rng.standard_normal(indexed.index.size)
-        model = Model(indexed.labels, indexed.index, w)
+        model = Model(indexed.index, w)
         expected = float(np.dot(w, w)) / (2 * 10.0)
         for sentence in corpus:
             lattice = build_lattice(model, extract_sentence_attributes(sentence, catalogue=LEAN))
-            gold = [indexed.labels.index(token.pos) for token in sentence]
+            gold = [indexed.index.labels.index(token.pos) for token in sentence]
             expected += log_partition(lattice) - oracles.seq_score(lattice.state, lattice.trans, gold)
         value, _ = objective_and_gradient(w, indexed, 10.0)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)

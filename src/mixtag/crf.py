@@ -130,14 +130,21 @@ class Compiled:
     ``offsets[s]:offsets[s + 1]``.  Each known attribute a token fires is
     one (token, attribute row) pair ``(rows[k], cols[k])``, int64, in token
     and then set order, so a token without one scores 0 for every label.
-    The ``bincount`` bins of both pair directions are built on first use
-    and kept.
+    The ``bincount`` bins of both pair directions, and the ``grouped``
+    batch that training optimizes over, are built on first use and kept.
+
+    A grouped batch also holds ``group``, the group of each attribute row
+    of the batch it was built from, and ``scale``, sqrt(k_g) for each of
+    its own rows; its ``scores``, ``counts`` and ``gold_counts`` apply the
+    scale, and ``expand`` maps its weights back.
     """
 
     index: FeatureIndex
     rows: np.ndarray  # (pairs,) token of each pair
     cols: np.ndarray  # (pairs,) attribute row of each pair
     offsets: np.ndarray  # (sentences + 1,)
+    group: np.ndarray | None = None  # (attributes of the full index,) grouped batches only
+    scale: np.ndarray | None = None  # (attribute rows,) grouped batches only
 
     def _bins(self, dest: np.ndarray) -> np.ndarray:
         """dest*L + label: L bins per pair, pair by pair."""
@@ -152,15 +159,67 @@ class Compiled:
     def _count_bins(self) -> np.ndarray:
         return self._bins(self.cols + self.index.n_labels)  # each pair's state slots
 
+    @cached_property
+    def grouped(self) -> Compiled:
+        """This batch over one attribute row per group of rows that fire on
+        the same tokens, for training.
+
+        Rows are grouped only when their token runs (each row's tokens, in
+        order, with repeats) are equal, compared as bytes.  Groups are
+        numbered by their lowest row and named by its attribute, so their
+        names stay strictly sorted; only that row's pairs are kept.  A
+        group's weight u_g stands for u_g / sqrt(k_g) on each of its k_g
+        members.  The map is an isometry: ||u|| = ||w||, and the gradient
+        in u is sqrt(k_g) times each member's, so gradient dot products
+        match.  From the zero start every member of a group gets the same
+        gradient, so L-BFGS over u takes, in exact arithmetic, the steps it
+        takes over w.
+        """
+        A = len(self.index.attributes)
+        ends = np.cumsum(np.bincount(self.cols, minlength=A)) * self.rows.itemsize
+        runs = self.rows[np.argsort(self.cols, kind="stable")].tobytes()
+        first: dict[bytes, int] = {}
+        group = np.fromiter(
+            (first.setdefault(runs[a:b], len(first))
+             for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())),
+            dtype=np.int64, count=A,
+        )
+        _, lowest = np.unique(group, return_index=True)
+        keep = lowest[group[self.cols]] == self.cols
+        index = FeatureIndex(self.index.labels, [self.index.attributes[a] for a in lowest])
+        return Compiled(
+            index, self.rows[keep], group[self.cols[keep]], self.offsets,
+            group, np.sqrt(np.bincount(group)),
+        )
+
+    def _scaled(self, vector: np.ndarray) -> np.ndarray:
+        """``vector``, laid out as the weights, with each state row times its
+        scale, in place; unchanged in an ungrouped batch."""
+        if self.scale is not None:
+            L = self.index.n_labels
+            state = vector[L * L:].reshape(-1, L)
+            state *= self.scale[:, None]
+        return vector
+
+    def expand(self, weights: np.ndarray) -> np.ndarray:
+        """The full-length weights that a grouped batch's ``weights`` stand
+        for: every member row of group g holds u_g / sqrt(k_g)."""
+        L = self.index.n_labels
+        state = weights[L * L:].reshape(-1, L) / self.scale[:, None]
+        return np.concatenate([weights[: L * L], state[self.group].ravel()])
+
     def scores(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """State scores (tokens, L) and transition scores (L, L), all finite.
         A token's state scores sum the W_state rows of its pairs in pair order."""
+        if self.scale is not None:
+            weights = self._scaled(weights.copy())  # the caller owns the weights
         L, tokens = self.index.n_labels, int(self.offsets[-1])
         trans = weights[: L * L].reshape(L, L)
         terms = weights[L * L:].reshape(-1, L).take(self.cols, axis=0)  # faster than W[cols]
+        # bincount counts in int64 when there is no pair at all
         state = np.bincount(
             self._state_bins, weights=terms.ravel(), minlength=tokens * L
-        ).reshape(tokens, L)
+        ).astype(np.float64, copy=False).reshape(tokens, L)
         if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
             raise ValueError("non-finite lattice score")
         return state, trans
@@ -171,9 +230,11 @@ class Compiled:
         the pairs of its attribute row, in pair order."""
         L = self.index.n_labels
         terms = node.take(self.rows, axis=0)
-        counts = np.bincount(self._count_bins, weights=terms.ravel(), minlength=self.index.size)
+        counts = np.bincount(
+            self._count_bins, weights=terms.ravel(), minlength=self.index.size
+        ).astype(np.float64, copy=False)
         counts[: L * L] = trans.ravel()  # no pair lands there
-        return counts
+        return self._scaled(counts)
 
     def gold_counts(self, label_ids: np.ndarray) -> np.ndarray:
         """The count of every parameter slot under the gold label ids
@@ -184,9 +245,9 @@ class Compiled:
         has_prev[self.offsets[:-1]] = False
         state_slots = L * L + self.cols * L + label_ids[self.rows]
         trans_slots = label_ids[:-1][has_prev[1:]] * L + label_ids[has_prev]
-        return np.bincount(
+        return self._scaled(np.bincount(
             np.concatenate([trans_slots, state_slots]), minlength=self.index.size
-        ).astype(np.float64)
+        ).astype(np.float64))
 
 
 @dataclass

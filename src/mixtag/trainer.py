@@ -6,6 +6,15 @@ L-BFGS (Liu & Nocedal 1989).  Each evaluation runs one batched
 forward-backward over the whole corpus, whose sentences it visits in one
 fixed order, and no dot product of full-length vectors goes to BLAS, so
 repeated runs give identical results under any BLAS thread count.
+
+``train`` optimizes over the corpus batch's ``grouped`` space: one
+variable per (group, label), where a group is a set of attribute rows that
+fire on exactly the same tokens, scaled by the square root of its size.
+From the zero start every member of a group gets the same gradient, and
+the scaling keeps norms and dot products, so L-BFGS takes the same steps
+as over every (attribute, label) slot with far shorter vectors.  The
+weights are expanded to the full layout once, at the end, and the model is
+the same.
 """
 
 from __future__ import annotations
@@ -196,15 +205,17 @@ def train(
     """
     start = time.perf_counter()
     indexed = index_corpus(corpus, lexicon, catalogue, config.cutoff)
+    batch = indexed.batch.grouped
+    grouped = IndexedCorpus(batch, indexed.label_ids, batch.gold_counts(indexed.label_ids))
     report = TrainReport()
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = objective_and_gradient(w, indexed, config.l2_sigma2)
+        value, grad = objective_and_gradient(w, grouped, config.l2_sigma2)
         if not np.isfinite(value):
             raise TrainingError("objective became non-finite")
         return value, grad
 
-    weights = np.zeros(indexed.index.size)
+    weights = np.zeros(batch.index.size)
     value, grad = evaluate(weights)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     if np.max(np.abs(grad)) > GRADIENT_TOLERANCE:
@@ -233,4 +244,4 @@ def train(
     report.final_objective = value
     report.wall_time = time.perf_counter() - start
 
-    return Model(indexed.index, weights, catalogue, lexicon), report
+    return Model(indexed.index, batch.expand(weights), catalogue, lexicon), report

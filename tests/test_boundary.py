@@ -4,7 +4,8 @@ The pair format and the weight layout live in ``crf.Compiled``; ``trainer``
 and ``tagging`` take from ``crf`` no private name other than the two
 batched recursions.  The parameter layout is built and sized in ``crf``
 alone: no other module constructs a ``FeatureIndex`` or reads its label
-count.  The modules are read with ``ast``, not imported.
+count, and none reads a batch's pair arrays or the group map and scale of
+its grouped space.  The modules are read with ``ast``, not imported.
 """
 
 import ast
@@ -15,6 +16,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "mixtag"
 
 RECURSIONS = {"_forward_backward", "_viterbi"}
+BATCH_ARRAYS = {"rows", "cols", "group", "scale"}
+OTHER_MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "crf")
 
 
 def private_crf_imports(module: str) -> set[str]:
@@ -49,9 +52,7 @@ def layout_uses(module: str) -> list[str]:
     return uses
 
 
-@pytest.mark.parametrize(
-    "module", sorted(path.stem for path in SRC.glob("*.py") if path.stem != "crf")
-)
+@pytest.mark.parametrize("module", OTHER_MODULES)
 def test_only_crf_builds_and_sizes_the_layout(module):
     assert layout_uses(module) == []
 
@@ -60,3 +61,22 @@ def test_layout_check_sees_crf():
     # the check finds what it looks for where it is allowed
     assert any(use.startswith("FeatureIndex(") for use in layout_uses("crf"))
     assert any(use.startswith(".n_labels") for use in layout_uses("crf"))
+
+
+def batch_array_reads(module: str) -> list[str]:
+    """Each read of a ``BATCH_ARRAYS`` attribute in a module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return [
+        f".{node.attr} at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in BATCH_ARRAYS
+    ]
+
+
+@pytest.mark.parametrize("module", OTHER_MODULES)
+def test_only_crf_reads_the_pairs_and_the_groups(module):
+    assert batch_array_reads(module) == []
+
+
+def test_batch_array_check_sees_crf():
+    assert {use.split()[0] for use in batch_array_reads("crf")} == {f".{name}" for name in BATCH_ARRAYS}

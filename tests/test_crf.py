@@ -114,6 +114,70 @@ class TestFeatureIndex:
         assert Model(idx, np.zeros(idx.size)).labels is labels
 
 
+# sentences of attribute sets over a small alphabet, so that many attributes
+# fire on the same tokens; a set may name an attribute twice
+attribute_corpora = st.lists(
+    st.lists(st.lists(st.sampled_from("abcdef"), max_size=4).map(tuple), min_size=1, max_size=5),
+    min_size=1, max_size=5,
+)
+
+
+class TestGrouped:
+    """``Compiled.grouped`` merges exactly the attribute rows with equal token runs."""
+
+    @staticmethod
+    def token_runs(batch):
+        """Each attribute row's tokens, in order, with repeats."""
+        runs = [[] for _ in batch.index.attributes]
+        for t, a in zip(batch.rows.tolist(), batch.cols.tolist()):
+            runs[a].append(t)
+        return [tuple(run) for run in runs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(attribute_corpora, st.sampled_from([1, 2]))
+    def test_groups_are_exactly_the_equal_token_runs(self, sentences, cutoff):
+        labels = LabelSet(["A", "B"])
+        batch = index_features(sentences, labels, cutoff).compile(sentences)
+        grouped = batch.grouped
+        runs = self.token_runs(batch)
+        group = grouped.group.tolist()
+        assert len(group) == len(runs)
+        # same group if and only if the same token run: members fire on the
+        # same tokens, and no two groups share a run
+        for a, b in zip(*np.triu_indices(len(runs), 1)):
+            assert (group[a] == group[b]) == (runs[a] == runs[b])
+        # numbered and named by the lowest member, so the names stay sorted
+        lowest = [group.index(g) for g in range(len(grouped.index.attributes))]
+        assert lowest == sorted(lowest) and sorted(set(group)) == list(range(len(lowest)))
+        assert grouped.index.attributes == tuple(batch.index.attributes[a] for a in lowest)
+        assert crf._strictly_sorted(grouped.index.attributes)
+        assert grouped.index.labels is labels
+        # the lowest members' pairs, in pair order, and the size of each group
+        assert self.token_runs(grouped) == [runs[a] for a in lowest]
+        assert grouped.offsets is batch.offsets
+        assert np.array_equal(grouped.scale, np.sqrt(np.bincount(group)))
+
+    def test_distinct_rows_give_one_group_each(self, rng):
+        sentences = [[aset("a"), aset("a", "b"), aset("b", "c")]]
+        batch = index_features(sentences, LabelSet(["A", "B"])).compile(sentences)
+        grouped = batch.grouped
+        assert grouped.group.tolist() == [0, 1, 2] and grouped.scale.tolist() == [1.0, 1.0, 1.0]
+        assert grouped.index.attributes == batch.index.attributes
+        u = rng.standard_normal(grouped.index.size)
+        assert np.array_equal(grouped.expand(u), u)
+
+    def test_expand_divides_by_the_scale(self, rng):
+        # a and b fire on tokens 0 and 1, c on token 1
+        sentences = [[aset("a", "b"), aset("c", "b", "a")]]
+        batch = index_features(sentences, LabelSet(["A", "B"])).compile(sentences)
+        grouped = batch.grouped
+        assert grouped.index.attributes == ("a", "c") and grouped.group.tolist() == [0, 0, 1]
+        u = rng.standard_normal(grouped.index.size)
+        w = grouped.expand(u)
+        assert np.array_equal(w[:4], u[:4])
+        assert np.array_equal(w[4:].reshape(3, 2), [u[4:6] / math.sqrt(2)] * 2 + [u[6:8]])
+
+
 class TestModel:
     def test_lexicons_that_differ_in_line_breaks_do_not_match(self):
         # hashed unescaped, both lexicons read "a\tb\nc\td\te\n" (5e762f8623f4ba23)

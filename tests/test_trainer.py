@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mixtag
-from mixtag import trainer
+from mixtag import crf, tagging, trainer
 from mixtag.corpus import Corpus, Sentence, Token
 from mixtag.crf import Model, _forward_backward, build_lattice, log_partition
 from mixtag.features import (
@@ -19,6 +19,7 @@ from mixtag.features import (
 )
 from mixtag.trainer import (
     GRADIENT_TOLERANCE,
+    IndexedCorpus,
     StopReason,
     TrainConfig,
     index_corpus,
@@ -28,7 +29,7 @@ from mixtag.trainer import (
 
 import oracles
 from conftest import make_corpus, make_sentence
-from datagen import cyclic_ambiguous_corpus
+from datagen import cyclic_ambiguous_corpus, strip_labels
 
 # small catalogue keeps the toy parameter spaces tight
 LEAN = FeatureCatalogue().without(
@@ -44,6 +45,12 @@ def toy_corpus():
         make_sentence(("the", "en", "D"), ("dog", "en", "N"), ("runs", "en", "V")),
         make_sentence(("run", "en", "V"),),
     )
+
+
+def grouped_corpus(indexed):
+    """The corpus that ``train`` optimizes over: ``indexed`` in its batch's grouped space."""
+    batch = indexed.batch.grouped
+    return IndexedCorpus(batch, indexed.label_ids, batch.gold_counts(indexed.label_ids))
 
 
 def numerical_gradient(weights, indexed, sigma2, h=1e-5):
@@ -126,8 +133,49 @@ class TestBatchedObjective:
         assert np.allclose(grad_p, grad, rtol=0, atol=1e-12)
 
 
+class TestGroupedObjective:
+    """The objective over the grouped space is the full one at ``expand(u)``."""
+
+    CORPORA = {
+        "lean": lambda: index_corpus(toy_corpus(), catalogue=LEAN),
+        "full catalogue": lambda: index_corpus(toy_corpus()),
+        "cutoff 2": lambda: index_corpus(cyclic_ambiguous_corpus(12, seed=5), cutoff=2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_isometry(self, rng, name):
+        indexed = self.CORPORA[name]()
+        grouped = grouped_corpus(indexed)
+        batch = grouped.batch
+        assert batch.scale.max() > 1  # some group has several members
+        L = indexed.index.n_labels
+        for _ in range(3):
+            u = rng.standard_normal(grouped.index.size)
+            w = batch.expand(u)
+            assert trainer._dot(w, w) == pytest.approx(trainer._dot(u, u), rel=1e-12)
+            value, grad = objective_and_gradient(u, grouped, 10.0)
+            full_value, full_grad = objective_and_gradient(w, indexed, 10.0)
+            assert value == pytest.approx(full_value, rel=1e-12)
+            assert np.allclose(grad[: L * L], full_grad[: L * L], rtol=1e-12, atol=1e-12)
+            # each member's gradient row is its group's over sqrt(k_g)
+            rows = (grad[L * L:].reshape(-1, L) / batch.scale[:, None])[batch.group]
+            assert np.allclose(full_grad[L * L:].reshape(-1, L), rows, rtol=1e-12, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self, rng):
+        sigma2 = 10.0
+        grouped = grouped_corpus(index_corpus(toy_corpus(), catalogue=LEAN))
+        assert grouped.batch.scale.max() > 1
+        for _ in range(3):
+            u = rng.standard_normal(grouped.index.size) * 0.5
+            _, grad = objective_and_gradient(u, grouped, sigma2)
+            fd = numerical_gradient(u, grouped, sigma2)
+            denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
+            assert np.max(np.abs(grad - fd) / denom) < 1e-4
+
+
 class TestStoredBins:
-    """The batch's pair bins are built once per corpus and never written."""
+    """The batch's pair bins are built once per corpus and never written,
+    and only training builds its groups."""
 
     BINS = ("_state_bins", "_count_bins")
 
@@ -142,7 +190,25 @@ class TestStoredBins:
 
     def test_index_corpus_builds_no_bins(self):
         indexed = index_corpus(toy_corpus())
-        assert not set(self.BINS) & set(vars(indexed.batch))
+        assert not {*self.BINS, "grouped"} & set(vars(indexed.batch))
+
+    def test_only_training_builds_groups(self, monkeypatch):
+        batches = []
+        compile_batch = crf.FeatureIndex.compile
+
+        def recorded(index, sentences):
+            batches.append(compile_batch(index, sentences))
+            return batches[-1]
+
+        monkeypatch.setattr(crf.FeatureIndex, "compile", recorded)
+        model, _ = train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=2))
+        assert [("grouped" in vars(batch)) for batch in batches] == [True]
+        stripped = strip_labels(toy_corpus())
+        tagging.tag_corpus(model, stripped)
+        tagging.tag_sentence(model, stripped.sentences[0])
+        assert len(batches) == 3
+        for batch in batches[1:]:
+            assert "grouped" not in vars(batch) and batch.scale is None
 
     def test_weights_and_corpus_arrays_unchanged(self, rng):
         indexed = index_corpus(toy_corpus())
@@ -198,16 +264,20 @@ class TestFinalObjective:
         _, report = train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=0))
         assert len(calls) == 1
         indexed = index_corpus(toy_corpus(), catalogue=LEAN)
-        assert report.final_objective == objective_and_gradient(calls[0], indexed, 10.0)[0]
+        start = indexed.batch.grouped.expand(calls[0])  # the optimizer sees the grouped space
+        assert report.final_objective == objective_and_gradient(start, indexed, 10.0)[0]
 
     def test_no_evaluation_after_optimizer(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
         config = TrainConfig(max_iterations=8)
         model, report = train(toy_corpus(), catalogue=LEAN, config=config)
-        assert np.array_equal(calls[-1], model.weights)
         indexed = index_corpus(toy_corpus(), catalogue=LEAN)
-        expected, _ = objective_and_gradient(model.weights, indexed, config.l2_sigma2)
+        # the optimizer sees the grouped space; the model holds its expansion
+        assert np.array_equal(indexed.batch.grouped.expand(calls[-1]), model.weights)
+        expected, _ = objective_and_gradient(calls[-1], grouped_corpus(indexed), config.l2_sigma2)
         assert report.final_objective == expected
+        full, _ = objective_and_gradient(model.weights, indexed, config.l2_sigma2)
+        assert full == pytest.approx(expected, rel=1e-12)
 
 
 class TestExactSums:
@@ -341,7 +411,8 @@ class TestOptimizer:
         monkeypatch.setattr(trainer, "objective_and_gradient", rising)
         model, report = train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=8))
         assert report.iterations == 1
-        assert np.array_equal(model.weights, points[1])
+        grouped = index_corpus(toy_corpus(), catalogue=LEAN).batch.grouped
+        assert np.array_equal(model.weights, grouped.expand(points[1]))
         assert report.final_objective == report.history[0][0]
 
 
@@ -376,15 +447,18 @@ class TestLbfgsDirection:
 class TestBlasThreads:
     def test_model_bytes_do_not_depend_on_blas_thread_count(self):
         # BLAS splits a dot product of more than about 10,000 elements across
-        # its threads; over 50,000 parameters every optimizer vector is that long
+        # its threads; every optimizer vector, one slot per (group, label), is
+        # longer than that here, and the full index has over 50,000 slots
         src = str(Path(mixtag.__file__).resolve().parents[1])
         path = os.pathsep.join([src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
         probe = (
             "import hashlib; from datagen import separable_corpus; "
-            "from mixtag.crf import save_model; from mixtag.trainer import TrainConfig, train; "
-            "model, report = train(separable_corpus(300, seed=3, variants=50), "
-            "config=TrainConfig(max_iterations=10)); "
-            "print(model.index.size, report.iterations, hashlib.sha256(save_model(model)).hexdigest())"
+            "from mixtag.crf import save_model; "
+            "from mixtag.trainer import TrainConfig, index_corpus, train; "
+            "corpus = separable_corpus(300, seed=3, variants=50); "
+            "model, report = train(corpus, config=TrainConfig(max_iterations=10)); "
+            "print(model.index.size, index_corpus(corpus).batch.grouped.index.size, "
+            "report.iterations, hashlib.sha256(save_model(model)).hexdigest())"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -394,8 +468,8 @@ class TestBlasThreads:
             )
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout.split())
-        size, iterations, _ = outputs[0]
-        assert int(size) > 50_000 and int(iterations) == 10
+        size, grouped_size, iterations, _ = outputs[0]
+        assert int(size) > 50_000 and int(grouped_size) > 10_000 and int(iterations) == 10
         assert outputs[0] == outputs[1]
 
 
@@ -498,6 +572,15 @@ class TestTrain:
         m1, _ = train(toy_corpus(), catalogue=LEAN, config=config)
         m2, _ = train(toy_corpus(), catalogue=LEAN, config=config)
         assert np.array_equal(m1.weights, m2.weights)
+
+    def test_cutoff_that_keeps_no_attribute_fits_transitions(self):
+        # no pair at all: the scores and counts are still float arrays
+        corpus = cyclic_ambiguous_corpus(20, seed=2)
+        model, report = train(corpus, config=TrainConfig(cutoff=10**6, max_iterations=5))
+        assert model.index.attributes == () and report.iterations == 5
+        assert report.final_objective < corpus.token_count() * math.log(len(model.labels))
+        tagged = tagging.tag_corpus(model, strip_labels(corpus))
+        assert tagged.token_count() == corpus.token_count()
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from .corpus import (
     parse_corpus,
     write_corpus,
 )
-from .crf import FeatureIndex, LabelSet, Model, ModelFormatError, load_model, save_model
+from .crf import FeatureIndex, Model, ModelFormatError, load_model, save_model
 from .evaluation import (
     EvalReport,
     EvaluationError,

@@ -39,44 +39,24 @@ class ModelFormatError(ValueError):
     """Unreadable or invalid persisted model."""
 
 
-class LabelSet:
-    """Ordered label alphabet with stable 0-based indices."""
-
-    def __init__(self, labels: Iterable[str]):
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("label set must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels")
-        for label in labels:
-            if not label or "\t" in label or "\n" in label or "\r" in label:
-                raise ValueError(f"invalid label {label!r}")
-        self.labels = labels
-        self._index = {label: i for i, label in enumerate(labels)}
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __getitem__(self, i: int) -> str:
-        return self.labels[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LabelSet) and self.labels == other.labels
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown label {label!r}") from None
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """The label set as a tuple: nonempty, no repeats, and no label empty or
+    holding a tab or line break (else ValueError)."""
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("label set must be nonempty")
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate labels")
+    for label in labels:
+        if not label or "\t" in label or "\n" in label or "\r" in label:
+            raise ValueError(f"invalid label {label!r}")
+    return labels
 
 
 class FeatureIndex:
-    """Parameter layout shared by training and tagging: the label set and
-    the retained attributes, strictly sorted (else ValueError) as a model
-    file stores them.
+    """Parameter layout shared by training and tagging: the labels, a tuple
+    whose order gives each label its id, and the retained attributes,
+    strictly sorted (else ValueError) as a model file stores them.
 
     The first L*L slots hold the transition weights, slot yp*L + y.  Each
     retained attribute owns one row: its rank in ``attributes``.  Row r
@@ -87,12 +67,12 @@ class FeatureIndex:
     same rows, and training and tagging alike score through the batch.
     """
 
-    def __init__(self, labels: LabelSet, attributes: Sequence[str]):
-        self.labels = labels
-        self.n_labels = L = len(labels)
+    def __init__(self, labels: Sequence[str], attributes: Sequence[str]):
+        self.labels = _checked_labels(labels)
+        self.n_labels = L = len(self.labels)
         self.attributes = tuple(attributes)
         self._row = dict(zip(self.attributes, range(len(self.attributes))))
-        # sorting sorted input is one linear pass, faster than _strictly_sorted
+        # sorting sorted input is one linear pass
         if len(self._row) != len(self.attributes) or sorted(self._row) != list(self.attributes):
             raise ValueError("attributes not strictly sorted")
         self.size = L * L + len(self.attributes) * L
@@ -254,7 +234,7 @@ class Compiled:
 class Model:
     """Weights plus the features they were trained on.
 
-    The index owns the label set and the attribute order, so any model
+    The index owns the labels and the attribute order, so any model
     that builds saves to a file ``load_model`` reads.  A model is applied
     with its own catalogue and lexicon, and its file stores both.
     """
@@ -279,7 +259,7 @@ class Model:
             )
 
     @property
-    def labels(self) -> LabelSet:
+    def labels(self) -> tuple[str, ...]:
         return self.index.labels
 
     def features(
@@ -334,10 +314,11 @@ class Lattice:
 
 def index_features(
     corpus_attributes: Iterable[Sequence[tuple[str, ...]]],
-    labels: LabelSet,
+    labels: Sequence[str],
     cutoff: int = 1,
 ) -> FeatureIndex:
-    """Build the slot layout from training attribute sets.
+    """Build the slot layout over ``labels``, in their order, from training
+    attribute sets.
 
     An attribute is retained when its corpus occurrence count reaches the
     cutoff; retained attributes, in sorted order, are conjoined with every
@@ -585,10 +566,6 @@ def _unescape_lines(lines: list[str], what: str) -> list[str]:
     return values
 
 
-def _strictly_sorted(values: Sequence[str]) -> bool:
-    return all(map(str.__lt__, values, values[1:]))
-
-
 def save_model(model: Model) -> bytes:
     """Serialize to format v2, the one spelling ``load_model`` accepts."""
     labels, attributes = model.labels, model.index.attributes
@@ -667,7 +644,7 @@ def load_model(data: bytes) -> Model:
         raise ModelFormatError("model file does not end with a newline")
 
     try:
-        labels = LabelSet(lines.take(lines.count("labels")))
+        labels = _checked_labels(lines.take(lines.count("labels")))
     except ValueError as exc:
         raise ModelFormatError(f"bad label block: {exc}") from None
     try:
@@ -680,10 +657,11 @@ def load_model(data: bytes) -> Model:
         raise ModelFormatError("malformed lexicon line")
     shorts = _unescape_lines([short for short, _ in pairs], "lexicon")
     words = _unescape_lines([word for _, word in pairs], "lexicon")
-    if not _strictly_sorted(shorts):
+    entries = dict(zip(shorts, words))
+    if len(entries) != len(shorts) or sorted(entries) != shorts:
         raise ModelFormatError("lexicon entries not strictly sorted")
     try:
-        lexicon = NormalizationLexicon(dict(zip(shorts, words)))
+        lexicon = NormalizationLexicon(entries)
     except LexiconError as exc:
         raise ModelFormatError(f"bad lexicon block: {exc}") from None
 

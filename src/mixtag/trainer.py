@@ -24,11 +24,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .corpus import Corpus
-from .crf import Compiled, FeatureIndex, LabelSet, Model, index_features, _forward_backward
+from .crf import Compiled, FeatureIndex, Model, index_features, _forward_backward
 from .features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
@@ -89,14 +90,19 @@ class IndexedCorpus:
 
     ``batch`` holds the corpus's (token, attribute row) pairs and sentence
     offsets, tokens stacked in corpus order, and scores them as tagging
-    does.  ``label_ids`` are the gold ids, in ``index.labels``, of the
-    stacked tokens, and ``empirical`` holds the gold feature count of
-    every parameter slot.
+    does.  ``label_ids`` are the gold ids of the stacked tokens: each
+    token's position in the ``index.labels`` tuple.  ``empirical``, the
+    gold feature count of every parameter slot, is built on first use and
+    kept.
     """
 
     batch: Compiled
     label_ids: np.ndarray  # (tokens,) gold label ids
-    empirical: np.ndarray  # (index.size,)
+
+    @cached_property
+    def empirical(self) -> np.ndarray:
+        """(index.size,) gold counts, laid out as the weights."""
+        return self.batch.gold_counts(self.label_ids)
 
     @property
     def index(self) -> FeatureIndex:
@@ -119,12 +125,15 @@ def index_corpus(
     unlabeled = [token.surface for token in tokens if token.pos is None]
     if unlabeled:
         raise ValueError(f"unlabeled training token {unlabeled[0]!r}")
-    labels = LabelSet(sorted({token.pos for token in tokens}))
+    # a dict, not np.unique: fixed-width numpy strings drop trailing NULs,
+    # which would merge the labels "N" and "N\x00"
+    labels = sorted({token.pos for token in tokens})
+    label_id = {label: i for i, label in enumerate(labels)}
 
     all_attrs = list(extract_corpus_attributes(corpus, lexicon, catalogue))
     batch = index_features(all_attrs, labels, cutoff).compile(all_attrs)
-    label_ids = np.array([labels.index(token.pos) for token in tokens], dtype=np.int64)
-    return IndexedCorpus(batch, label_ids, batch.gold_counts(label_ids))
+    label_ids = np.array([label_id[token.pos] for token in tokens], dtype=np.int64)
+    return IndexedCorpus(batch, label_ids)
 
 
 def objective_and_gradient(
@@ -206,7 +215,7 @@ def train(
     start = time.perf_counter()
     indexed = index_corpus(corpus, lexicon, catalogue, config.cutoff)
     batch = indexed.batch.grouped
-    grouped = IndexedCorpus(batch, indexed.label_ids, batch.gold_counts(indexed.label_ids))
+    grouped = IndexedCorpus(batch, indexed.label_ids)
     report = TrainReport()
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:

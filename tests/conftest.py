@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mixtag.corpus import Corpus, Sentence, Token
-from mixtag.crf import FeatureIndex, LabelSet, Lattice, Model
+from mixtag.crf import FeatureIndex, Lattice, Model
 from mixtag.features import (
     EMPTY_LEXICON,
     FeatureCatalogue,
@@ -36,9 +36,9 @@ def position_attributes(
     return context + _token_attributes(sentence[i], lexicon, catalogue)
 
 
-def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:
-    """Wrap raw lattice scores in a Model whose attributes are A0..A{T-1},
-    in sorted order (A10 sorts before A2).
+def model_from_lattice(state, trans) -> Model:
+    """Wrap raw lattice scores in a Model whose labels are y0..y{L-1} and
+    whose attributes are A0..A{T-1}, in sorted order (A10 sorts before A2).
 
     Position t fires the single attribute "A{t}", so build_lattice
     reproduces exactly the given state matrix.
@@ -46,10 +46,8 @@ def model_from_lattice(state, trans, labels: LabelSet | None = None) -> Model:
     state = np.asarray(state, dtype=float)
     trans = np.asarray(trans, dtype=float)
     T, L = state.shape
-    if labels is None:
-        labels = LabelSet([f"y{i}" for i in range(L)])
     attrs = [f"A{t}" for t in range(T)]
-    index = FeatureIndex(labels, sorted(attrs))
+    index = FeatureIndex([f"y{i}" for i in range(L)], sorted(attrs))
     weights = np.zeros(index.size)
     weights[: L * L] = trans.ravel()
     for t, a in enumerate(attrs):

@@ -1,5 +1,6 @@
 import base64
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from mixtag.crf import (
     _log_forward_backward,
     _viterbi,
     FeatureIndex,
-    LabelSet,
     Lattice,
     Model,
     ModelFormatError,
@@ -38,7 +38,7 @@ def aset(*attrs):
 # escaped attributes and lexicon entries; 10 weights, 80 bytes, so the
 # base64 line ends in padding
 SMALL_V2_MODEL = save_model(
-    Model(FeatureIndex(LabelSet(["N", "V"]), ["W0=\\", "W0=a\tb", "W0=k1"]),
+    Model(FeatureIndex(["N", "V"], ["W0=\\", "W0=a\tb", "W0=k1"]),
           np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0, -0.0, 1e300]),
           FeatureCatalogue().without("affixes"),
           NormalizationLexicon({"k\\1": "ka\nl", "kr": "kor"}))
@@ -50,27 +50,28 @@ V2_EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV /=AQgwnt"
 
 class TestLabelSet:
     def test_indexing(self):
-        ls = LabelSet(["N", "V", "J"])
+        # a plain tuple, in the given order: a label's position is its id
+        ls = FeatureIndex(["N", "V", "J"], []).labels
         assert ls.index("V") == 1
         assert ls[2] == "J"
         assert len(ls) == 3
 
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            LabelSet(["N"]).index("V")
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            LabelSet(["N", "N"])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            LabelSet([])
-
 
 class TestFeatureIndex:
+    @pytest.mark.parametrize("labels, message", [
+        ([], "label set must be nonempty"),
+        (["N", "V", "N"], "duplicate labels"),
+        (["N", ""], "invalid label ''"),
+        (["N\tV"], "invalid label 'N\\tV'"),
+        (["N", "V\n"], "invalid label 'V\\n'"),
+        (["\rN"], "invalid label '\\rN'"),
+    ], ids=["empty-set", "repeated", "empty-label", "tab", "lf", "cr"])
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FeatureIndex(labels, [])
+
     def test_expansion_over_all_labels(self):
-        labels = LabelSet(["A", "B", "C"])
+        labels = ["A", "B", "C"]
         attrs = [[aset("LEN=L_1")] for _ in range(5)]
         idx = index_features(attrs, labels, cutoff=1)
         base = idx.state_base("LEN=L_1")
@@ -78,13 +79,13 @@ class TestFeatureIndex:
         assert [base + y for y in range(3)] == [9, 10, 11]
 
     def test_cutoff_drops_rare_attributes(self):
-        labels = LabelSet(["A", "B", "C"])
+        labels = ["A", "B", "C"]
         attrs = [[aset("LEN=L_1")] for _ in range(5)]
         idx = index_features(attrs, labels, cutoff=6)
         assert idx.state_base("LEN=L_1") is None
 
     def test_dense_transitions(self):
-        labels = LabelSet(["A", "B", "C"])
+        labels = ["A", "B", "C"]
         idx = index_features([[aset("x")]], labels)
         # transition yp -> y sits in slot yp * L + y, below every state slot
         slots = {yp * 3 + y for yp in range(3) for y in range(3)}
@@ -93,25 +94,24 @@ class TestFeatureIndex:
         assert all(trans[yp, y] == yp * 3 + y for yp, y in np.ndindex(3, 3))
 
     def test_slots_contiguous(self):
-        labels = LabelSet(["A", "B"])
+        labels = ["A", "B"]
         idx = index_features([[aset("p"), aset("q")]], labels)
         assert idx.size == 4 + 2 * 2
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
-            index_features([], LabelSet(["A"]))
+            index_features([], ["A"])
 
     def test_attributes_must_be_strictly_sorted(self):
         # the one row order a model file stores, so every index saves
         for attributes in (["W0=b", "W0=\\", "W0=a"], ["W0=a", "W0=a"], ["", ""]):
             with pytest.raises(ValueError, match="^attributes not strictly sorted$"):
-                FeatureIndex(LabelSet(["A", "B"]), attributes)
+                FeatureIndex(["A", "B"], attributes)
 
     def test_owns_the_labels(self):
-        labels = LabelSet(["A", "B", "C"])
-        idx = index_features([[aset("x")]], labels)
-        assert idx.labels is labels and idx.n_labels == 3
-        assert Model(idx, np.zeros(idx.size)).labels is labels
+        idx = index_features([[aset("x")]], ["C", "A", "B"])
+        assert idx.labels == ("C", "A", "B") and idx.n_labels == 3
+        assert Model(idx, np.zeros(idx.size)).labels is idx.labels
 
 
 # sentences of attribute sets over a small alphabet, so that many attributes
@@ -136,7 +136,7 @@ class TestGrouped:
     @settings(max_examples=200, deadline=None)
     @given(attribute_corpora, st.sampled_from([1, 2]))
     def test_groups_are_exactly_the_equal_token_runs(self, sentences, cutoff):
-        labels = LabelSet(["A", "B"])
+        labels = ["A", "B"]
         batch = index_features(sentences, labels, cutoff).compile(sentences)
         grouped = batch.grouped
         runs = self.token_runs(batch)
@@ -150,8 +150,8 @@ class TestGrouped:
         lowest = [group.index(g) for g in range(len(grouped.index.attributes))]
         assert lowest == sorted(lowest) and sorted(set(group)) == list(range(len(lowest)))
         assert grouped.index.attributes == tuple(batch.index.attributes[a] for a in lowest)
-        assert crf._strictly_sorted(grouped.index.attributes)
-        assert grouped.index.labels is labels
+        assert list(grouped.index.attributes) == sorted(set(grouped.index.attributes))
+        assert grouped.index.labels == batch.index.labels
         # the lowest members' pairs, in pair order, and the size of each group
         assert self.token_runs(grouped) == [runs[a] for a in lowest]
         assert grouped.offsets is batch.offsets
@@ -159,7 +159,7 @@ class TestGrouped:
 
     def test_distinct_rows_give_one_group_each(self, rng):
         sentences = [[aset("a"), aset("a", "b"), aset("b", "c")]]
-        batch = index_features(sentences, LabelSet(["A", "B"])).compile(sentences)
+        batch = index_features(sentences, ["A", "B"]).compile(sentences)
         grouped = batch.grouped
         assert grouped.group.tolist() == [0, 1, 2] and grouped.scale.tolist() == [1.0, 1.0, 1.0]
         assert grouped.index.attributes == batch.index.attributes
@@ -169,7 +169,7 @@ class TestGrouped:
     def test_expand_divides_by_the_scale(self, rng):
         # a and b fire on tokens 0 and 1, c on token 1
         sentences = [[aset("a", "b"), aset("c", "b", "a")]]
-        batch = index_features(sentences, LabelSet(["A", "B"])).compile(sentences)
+        batch = index_features(sentences, ["A", "B"]).compile(sentences)
         grouped = batch.grouped
         assert grouped.index.attributes == ("a", "c") and grouped.group.tolist() == [0, 0, 1]
         u = rng.standard_normal(grouped.index.size)
@@ -184,7 +184,7 @@ class TestModel:
         one = NormalizationLexicon({"a": "b\nc", "d": "e"})
         other = NormalizationLexicon({"a": "b", "c\nd": "e"})
         assert one.fingerprint() != other.fingerprint()
-        model = Model(FeatureIndex(LabelSet(["A"]), []), np.zeros(1), lexicon=one)
+        model = Model(FeatureIndex(["A"], []), np.zeros(1), lexicon=one)
         with pytest.raises(ValueError, match="lexicon .* does not match"):
             model.features(lexicon=other)
         with pytest.raises(ValueError, match="lexicon .* does not match"):
@@ -218,7 +218,7 @@ class TestBuildLattice:
         assert lat.state.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_single_firing_attribute(self):
-        labels = LabelSet(["a", "b", "c"])
+        labels = ["a", "b", "c"]
         idx = FeatureIndex(labels, ["f"])
         w = np.zeros(idx.size)
         w[idx.state_base("f") + 2] = 0.7
@@ -485,7 +485,7 @@ class TestSequenceLogProb:
 
     def test_unknown_label(self):
         model = model_from_lattice(np.zeros((1, 2)), np.zeros((2, 2)))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):  # tuple.index
             log_prob(model, [aset("A0")], ["zz"])
 
     def test_length_mismatch(self):
@@ -568,7 +568,7 @@ class TestBatchedViterbi:
 
 class TestPersistence:
     def _model(self, rng):
-        labels = LabelSet(["N", "V", "PRP"])
+        labels = ["N", "V", "PRP"]
         idx = FeatureIndex(labels, ["FLAG=ContainsDigit", "LEN=L_2", "W0=khub"])
         w = rng.standard_normal(idx.size)
         return Model(idx, w)
@@ -625,7 +625,7 @@ class TestPersistence:
             load_model(data)
 
     def test_special_characters_round_trip(self, rng):
-        labels = LabelSet(["X", "Y"])
+        labels = ["X", "Y"]
         # in sorted order, as v2 stores them
         idx = FeatureIndex(labels, sorted(["W0=a\tb", "W0=a\nb", "W0=a\\b", "W0=a\\tb", "W0=\\"]))
         model = Model(idx, rng.standard_normal(idx.size))
@@ -640,7 +640,7 @@ class TestPersistence:
             load_model(data + _weights_line(data) + b"\n")
 
     def test_escaped_attribute_round_trip(self):
-        labels = LabelSet(["X"])
+        labels = ["X"]
         idx = FeatureIndex(labels, ["W0=a\\b"])
         model = Model(idx, np.array([0.5, -0.25]))
         loaded = load_model(save_model(model))
@@ -659,7 +659,7 @@ _LABEL = _NO_TAB.map(lambda text: text.replace("\n", "").replace("\r", "")).filt
 def models(draw) -> Model:
     """Any model that builds: strictly sorted attributes, the empty one
     included, and any valid label set, lexicon and catalogue."""
-    labels = LabelSet(draw(st.lists(_LABEL, min_size=1, max_size=3, unique=True)))
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=3, unique=True))
     index = FeatureIndex(labels, sorted(draw(st.sets(_TEXT, max_size=5))))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     weights = draw(st.lists(finite, min_size=index.size, max_size=index.size))
@@ -686,7 +686,7 @@ def _weights_line(data: bytes) -> bytes:
 
 class TestPersistenceV2:
     def _model(self, rng):
-        labels = LabelSet(["N", "V", "PRP"])
+        labels = ["N", "V", "PRP"]
         idx = FeatureIndex(labels, ["FLAG=ContainsDigit", "LEN=L_2", "W0=a\\b", "W0=khub"])
         return Model(idx, rng.standard_normal(idx.size),
                      FeatureCatalogue().without("context", "affixes"),
@@ -737,6 +737,24 @@ class TestPersistenceV2:
             b"\nk\\\\\tka\\nb\nkrte\tkorte\n", b"\nkrte\tkorte\nk\\\\\tka\\nb\n")
         with pytest.raises(ModelFormatError, match="lexicon entries not strictly sorted"):
             load_model(data)
+
+    def test_repeated_lexicon_short_form(self, rng):
+        data = save_model(self._model(rng)).replace(b"\nkrte\tkorte\n", b"\nk\\\\\tkorte\n")
+        with pytest.raises(ModelFormatError, match="^lexicon entries not strictly sorted$"):
+            load_model(data)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"\nlabels 3\nN\nV\nPRP\n", b"\nlabels 0\n", "label set must be nonempty"),
+        (b"\nN\nV\nPRP\n", b"\nN\nV\nN\n", "duplicate labels"),
+        (b"\nN\nV\nPRP\n", b"\nN\n\nPRP\n", "invalid label ''"),
+        (b"\nN\nV\nPRP\n", b"\nN\nV\tJ\nPRP\n", "invalid label 'V\\tJ'"),
+        (b"\nN\nV\nPRP\n", b"\nN\nV\r\nPRP\n", "invalid label 'V\\r'"),
+    ], ids=["empty-set", "repeated", "empty-label", "tab", "cr"])
+    def test_bad_label_block(self, rng, old, new, message):
+        data = save_model(self._model(rng))
+        assert old in data
+        with pytest.raises(ModelFormatError, match=f"^bad label block: {re.escape(message)}$"):
+            load_model(data.replace(old, new))
 
     @pytest.mark.parametrize("old, new", [
         (b"\nLEN=L_2\n", b"\nLEN=L\\_2\n"),  # unescapes to LEN=L_2

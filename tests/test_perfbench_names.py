@@ -1,4 +1,5 @@
-"""Every name the benchmark under ``perfbench/`` takes from ``mixtag`` exists.
+"""Every name the benchmark under ``perfbench/`` takes from ``mixtag`` exists,
+and every call the workloads make still binds to its signature.
 
 The tracer wraps each ``"module.function"`` key of ``TARGETS`` in
 ``perfbench/tracer.py`` with ``getattr`` on ``mixtag.<module>``, so one
@@ -9,6 +10,7 @@ not imported, so this check runs in milliseconds.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,11 +27,9 @@ def tracer_targets() -> list[str]:
     raise AssertionError("perfbench/tracer.py assigns no TARGETS dict")
 
 
-def workload_names() -> list[str]:
-    """``module.name`` of each attribute that workloads.py reads off a
-    ``mixtag`` module it imports."""
-    tree = parse("workloads.py")
-    modules = {}  # local name -> mixtag module
+def mixtag_modules(tree: ast.Module) -> dict[str, str]:
+    """The ``mixtag`` modules a file imports, by their local names."""
+    modules = {}
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -38,6 +38,14 @@ def workload_names() -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module == "mixtag":
             for alias in node.names:
                 modules[alias.asname or alias.name] = f"mixtag.{alias.name}"
+    return modules
+
+
+def workload_names() -> list[str]:
+    """``module.name`` of each attribute that workloads.py reads off a
+    ``mixtag`` module it imports."""
+    tree = parse("workloads.py")
+    modules = mixtag_modules(tree)
     return sorted({
         f"{modules[node.value.id]}.{node.attr}"
         for node in ast.walk(tree)
@@ -45,6 +53,24 @@ def workload_names() -> list[str]:
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
     })
+
+
+def workload_calls() -> list[tuple[str, ast.Call, list[ast.expr]]]:
+    """(``module.name``, call, positional arguments) of each call in
+    workloads.py of a function off a ``mixtag`` module, counting
+    ``timed(fn, *args)`` as the call ``fn(*args)`` that it makes."""
+    tree = parse("workloads.py")
+    modules = mixtag_modules(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = node.func, node.args
+        if isinstance(fn, ast.Name) and fn.id == "timed" and args:
+            fn, args = args[0], args[1:]
+        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id in modules:
+            calls.append((f"{modules[fn.value.id]}.{fn.attr}", node, args))
+    return calls
 
 
 def missing(dotted_names) -> list[str]:
@@ -71,3 +97,22 @@ def test_every_tracer_target_exists():
 
 def test_every_workload_name_exists():
     assert missing(workload_names()) == []
+
+
+def test_every_workload_call_binds():
+    calls = workload_calls()
+    # guards the check below against passing on an empty list
+    assert ("mixtag.tagging.tag_sentence", 3) in {(name, len(args)) for name, _, args in calls}
+    assert ("mixtag.trainer.train", 4) in {(name, len(args)) for name, _, args in calls}
+    unbound = []
+    for name, call, args in calls:
+        where = f"workloads.py:{call.lineno} {name}"
+        starred = any(isinstance(arg, ast.Starred) for arg in args)
+        assert not starred and all(k.arg for k in call.keywords), f"{where}: unpacked arguments"
+        module, _, attr = name.rpartition(".")
+        signature = inspect.signature(getattr(importlib.import_module(module), attr))
+        try:
+            signature.bind(*args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert unbound == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixtag.corpus import Corpus
-from mixtag.crf import FeatureIndex, LabelSet, Model
+from mixtag.crf import FeatureIndex, Model
 from mixtag.features import FeatureCatalogue, load_lexicon
 from mixtag.tagging import tag_corpus, tag_sentence
 from mixtag.trainer import TrainConfig, train
@@ -46,7 +46,7 @@ class TestTagCorpus:
 
     def test_overflowing_scores_raise(self):
         # two finite weights whose sum overflows to inf
-        index = FeatureIndex(LabelSet(["A", "B"]), ["LEN=L_1", "VC=0"])
+        index = FeatureIndex(["A", "B"], ["LEN=L_1", "VC=0"])
         weights = np.zeros(index.size)
         weights[index.state_base("LEN=L_1")] = weights[index.state_base("VC=0")] = 1e308
         model = Model(index, weights)

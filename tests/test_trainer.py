@@ -49,8 +49,7 @@ def toy_corpus():
 
 def grouped_corpus(indexed):
     """The corpus that ``train`` optimizes over: ``indexed`` in its batch's grouped space."""
-    batch = indexed.batch.grouped
-    return IndexedCorpus(batch, indexed.label_ids, batch.gold_counts(indexed.label_ids))
+    return IndexedCorpus(indexed.batch.grouped, indexed.label_ids)
 
 
 def numerical_gradient(weights, indexed, sigma2, h=1e-5):
@@ -175,7 +174,8 @@ class TestGroupedObjective:
 
 class TestStoredBins:
     """The batch's pair bins are built once per corpus and never written,
-    and only training builds its groups."""
+    only training builds its groups, and it counts the gold features of the
+    grouped batch only."""
 
     BINS = ("_state_bins", "_count_bins")
 
@@ -191,6 +191,19 @@ class TestStoredBins:
     def test_index_corpus_builds_no_bins(self):
         indexed = index_corpus(toy_corpus())
         assert not {*self.BINS, "grouped"} & set(vars(indexed.batch))
+        assert "empirical" not in vars(indexed)
+
+    def test_train_counts_gold_features_once(self, monkeypatch):
+        grouped = []
+        gold_counts = crf.Compiled.gold_counts
+
+        def counted(batch, label_ids):
+            grouped.append(batch.scale is not None)
+            return gold_counts(batch, label_ids)
+
+        monkeypatch.setattr(crf.Compiled, "gold_counts", counted)
+        train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=2))
+        assert grouped == [True]
 
     def test_only_training_builds_groups(self, monkeypatch):
         batches = []
@@ -581,6 +594,21 @@ class TestTrain:
         assert report.final_objective < corpus.token_count() * math.log(len(model.labels))
         tagged = tagging.tag_corpus(model, strip_labels(corpus))
         assert tagged.token_count() == corpus.token_count()
+
+    def test_labels_that_differ_in_a_trailing_nul_stay_apart(self):
+        # fixed-width numpy strings drop trailing NULs, so "N\x00" would
+        # read as "N" there
+        corpus = make_corpus(
+            make_sentence(("a", "en", "N"), ("b", "en", "N\x00")),
+            make_sentence(("b", "en", "N\x00"), ("a", "en", "N"), ("b", "en", "N\x00")),
+        )
+        model, _ = train(corpus, catalogue=LEAN, config=TrainConfig(max_iterations=30))
+        assert model.labels == ("N", "N\x00")
+        loaded = crf.load_model(crf.save_model(model))
+        assert loaded.labels == model.labels
+        stripped = strip_labels(corpus)
+        assert tagging.tag_corpus(loaded, stripped) == corpus
+        assert [tagging.tag_sentence(loaded, s) for s in stripped] == list(corpus)
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):

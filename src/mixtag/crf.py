@@ -115,8 +115,8 @@ class Compiled:
 
     A grouped batch also holds ``group``, the group of each attribute row
     of the batch it was built from, and ``scale``, sqrt(k_g) for each of
-    its own rows; its ``scores``, ``counts`` and ``gold_counts`` apply the
-    scale, and ``expand`` maps its weights back.
+    its own rows; only its ``scores`` and ``counts`` apply the scale, and
+    ``expand`` maps its weights back.
     """
 
     index: FeatureIndex
@@ -215,19 +215,6 @@ class Compiled:
         ).astype(np.float64, copy=False)
         counts[: L * L] = trans.ravel()  # no pair lands there
         return self._scaled(counts)
-
-    def gold_counts(self, label_ids: np.ndarray) -> np.ndarray:
-        """The count of every parameter slot under the gold label ids
-        (tokens,): one per known attribute a token fires, one per adjacent
-        label pair in a sentence."""
-        L = self.index.n_labels
-        has_prev = np.ones(len(label_ids), dtype=bool)
-        has_prev[self.offsets[:-1]] = False
-        state_slots = L * L + self.cols * L + label_ids[self.rows]
-        trans_slots = label_ids[:-1][has_prev[1:]] * L + label_ids[has_prev]
-        return self._scaled(np.bincount(
-            np.concatenate([trans_slots, state_slots]), minlength=self.index.size
-        ).astype(np.float64))
 
 
 @dataclass

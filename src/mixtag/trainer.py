@@ -2,9 +2,10 @@
 
 The objective is the negative conditional log-likelihood plus a Gaussian
 penalty ||theta||^2 / (2 sigma^2), minimized from a zero start with
-L-BFGS (Liu & Nocedal 1989).  Each evaluation runs one batched
-forward-backward over the whole corpus, whose sentences it visits in one
-fixed order, and no dot product of full-length vectors goes to BLAS, so
+L-BFGS (Liu & Nocedal 1989).  Each evaluation scores the whole corpus
+once, reads the gold paths' scores off those state and transition scores,
+and runs one batched forward-backward over them, visiting the sentences in
+one fixed order.  No dot product of full-length vectors goes to BLAS, so
 repeated runs give identical results under any BLAS thread count.
 
 ``train`` optimizes over the corpus batch's ``grouped`` space: one
@@ -24,7 +25,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -91,18 +91,12 @@ class IndexedCorpus:
     ``batch`` holds the corpus's (token, attribute row) pairs and sentence
     offsets, tokens stacked in corpus order, and scores them as tagging
     does.  ``label_ids`` are the gold ids of the stacked tokens: each
-    token's position in the ``index.labels`` tuple.  ``empirical``, the
-    gold feature count of every parameter slot, is built on first use and
-    kept.
+    token's position in the ``index.labels`` tuple.  The objective reads
+    the gold paths' scores off the batch's scores; no gold count is kept.
     """
 
     batch: Compiled
     label_ids: np.ndarray  # (tokens,) gold label ids
-
-    @cached_property
-    def empirical(self) -> np.ndarray:
-        """(index.size,) gold counts, laid out as the weights."""
-        return self.batch.gold_counts(self.label_ids)
 
     @property
     def index(self) -> FeatureIndex:
@@ -141,17 +135,25 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Penalized negative log-likelihood and its gradient.
 
-    The value is sum(log Z) - w.empirical + ||w||^2 / (2 sigma^2); the
-    gradient is expected counts - empirical counts + w / sigma^2.
+    The value is sum(log Z) less the scores of the gold paths, read off the
+    batch's own state and transition scores, plus ||w||^2 / (2 sigma^2);
+    the gradient is the counts of (marginals - gold), node and edge, plus
+    w / sigma^2.
     """
-    batch = corpus.batch
+    batch, gold = corpus.batch, corpus.label_ids
     weights = np.asarray(weights, dtype=np.float64)
-    node, edge, log_z = _forward_backward(*batch.scores(weights), batch.offsets)
+    state, trans = batch.scores(weights)
+    node, edge, log_z = _forward_backward(state, trans, batch.offsets)
+    L, tokens = len(trans), np.arange(len(gold))
+    follows = np.ones(len(gold), dtype=bool)  # the token after another in its sentence
+    follows[batch.offsets[:-1]] = False
+    prev, cur = gold[:-1][follows[1:]], gold[follows]
 
-    value = float(log_z.sum()) - _dot(weights, corpus.empirical)
+    value = float(log_z.sum()) - float(state[tokens, gold].sum()) - float(trans[prev, cur].sum())
     value += _dot(weights, weights) / (2.0 * l2_sigma2)
-    grad = batch.counts(node, edge.sum(axis=0))  # expected counts, laid out as the weights
-    grad -= corpus.empirical
+    node[tokens, gold] -= 1.0
+    bigrams = np.bincount(prev * L + cur, minlength=L * L).reshape(L, L)
+    grad = batch.counts(node, edge.sum(axis=0) - bigrams)
     grad += weights / l2_sigma2
     return value, grad
 

@@ -94,8 +94,14 @@ class TestObjective:
         )
         sparse_rows = index_corpus(toy_corpus(), catalogue=length_only, cutoff=2)
         assert np.any(np.bincount(sparse_rows.batch.rows, minlength=sparse_rows.token_count()) == 0)
+        # one-token sentences only: no gold bigram, and an empty edge array
+        one_token = index_corpus(make_corpus(
+            make_sentence(("w", "en", "A")), make_sentence(("v", "en", "B")),
+            make_sentence(("w", "en", "B")),
+        ), catalogue=LEAN)
+        assert np.all(np.diff(one_token.batch.offsets) == 1)
         sigma2 = 10.0
-        for indexed in (index_corpus(toy_corpus(), catalogue=LEAN), sparse_rows):
+        for indexed in (index_corpus(toy_corpus(), catalogue=LEAN), sparse_rows, one_token):
             for _ in range(3):
                 w = rng.standard_normal(indexed.index.size) * 0.5
                 _, grad = objective_and_gradient(w, indexed, sigma2)
@@ -106,17 +112,21 @@ class TestObjective:
 
 class TestBatchedObjective:
     def test_equals_per_sentence_log_partitions(self, rng):
+        # over the full space and, at w = expand(u), over the grouped one
         corpus = toy_corpus()
         indexed = index_corpus(corpus, catalogue=LEAN)
-        w = rng.standard_normal(indexed.index.size)
-        model = Model(indexed.index, w)
-        expected = float(np.dot(w, w)) / (2 * 10.0)
-        for sentence in corpus:
-            lattice = build_lattice(model, extract_sentence_attributes(sentence, catalogue=LEAN))
-            gold = [indexed.index.labels.index(token.pos) for token in sentence]
-            expected += log_partition(lattice) - oracles.seq_score(lattice.state, lattice.trans, gold)
-        value, _ = objective_and_gradient(w, indexed, 10.0)
-        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        grouped = grouped_corpus(indexed)
+        assert grouped.batch.scale.max() > 1
+        for space, full_weights in ((indexed, lambda u: u), (grouped, grouped.batch.expand)):
+            u = rng.standard_normal(space.index.size)
+            model = Model(indexed.index, full_weights(u))
+            expected = float(np.dot(u, u)) / (2 * 10.0)
+            for sentence in corpus:
+                lattice = build_lattice(model, extract_sentence_attributes(sentence, catalogue=LEAN))
+                gold = [indexed.index.labels.index(token.pos) for token in sentence]
+                expected += log_partition(lattice) - oracles.seq_score(lattice.state, lattice.trans, gold)
+            value, _ = objective_and_gradient(u, space, 10.0)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_sentence_order_does_not_matter(self, rng):
         corpus = toy_corpus()
@@ -174,8 +184,7 @@ class TestGroupedObjective:
 
 class TestStoredBins:
     """The batch's pair bins are built once per corpus and never written,
-    only training builds its groups, and it counts the gold features of the
-    grouped batch only."""
+    and only training builds its groups."""
 
     BINS = ("_state_bins", "_count_bins")
 
@@ -184,26 +193,12 @@ class TestStoredBins:
         batch = indexed.batch
         return {
             "label_ids": indexed.label_ids,
-            "empirical": indexed.empirical,
             **{name: getattr(batch, name) for name in ("rows", "cols", "offsets", *cls.BINS)},
         }
 
     def test_index_corpus_builds_no_bins(self):
         indexed = index_corpus(toy_corpus())
         assert not {*self.BINS, "grouped"} & set(vars(indexed.batch))
-        assert "empirical" not in vars(indexed)
-
-    def test_train_counts_gold_features_once(self, monkeypatch):
-        grouped = []
-        gold_counts = crf.Compiled.gold_counts
-
-        def counted(batch, label_ids):
-            grouped.append(batch.scale is not None)
-            return gold_counts(batch, label_ids)
-
-        monkeypatch.setattr(crf.Compiled, "gold_counts", counted)
-        train(toy_corpus(), catalogue=LEAN, config=TrainConfig(max_iterations=2))
-        assert grouped == [True]
 
     def test_only_training_builds_groups(self, monkeypatch):
         batches = []
@@ -312,24 +307,31 @@ class TestExactSums:
         assert np.array_equal(got, state)
         assert np.array_equal(trans, w[: L * L].reshape(L, L))
 
-        # the objective's own state scores and marginals, from its stored bins
+        # the objective's own state scores and marginals, from its stored bins;
+        # the objective subtracts the gold labels from its node array in place
         seen = []
 
         def recorded(state, trans, offsets):
-            seen.append((state.copy(), *_forward_backward(state, trans, offsets)))
-            return seen[-1][1:]
+            node, edge, log_z = _forward_backward(state, trans, offsets)
+            seen.append((state.copy(), node.copy(), edge))
+            return node, edge, log_z
 
+        gold = indexed.label_ids.tolist()
+        starts = set(indexed.batch.offsets[:-1].tolist())
+        bigrams = np.zeros((L, L))
+        for t in range(1, n):
+            if t not in starts:
+                bigrams[gold[t - 1], gold[t]] += 1
         monkeypatch.setattr(trainer, "_forward_backward", recorded)
         for _ in range(2):  # the first call builds the bins, the second reuses them
             _, grad = objective_and_gradient(w, indexed, 10.0)
-            objective_state, node, edge, _ = seen[-1]
+            objective_state, node, edge = seen[-1]
             assert np.array_equal(objective_state, state)
             counts = np.zeros_like(W)
             for t, c in zip(rows, cols):
                 for y in range(L):
-                    counts[c, y] += node[t, y]
-            expected = np.concatenate([edge.sum(axis=0).ravel(), counts.ravel()])
-            expected -= indexed.empirical
+                    counts[c, y] += node[t, y] - float(y == gold[t])
+            expected = np.concatenate([(edge.sum(axis=0) - bigrams).ravel(), counts.ravel()])
             expected += w / 10.0
             assert np.array_equal(grad, expected)
 

@@ -13,7 +13,7 @@ state features only).
 
 from __future__ import annotations
 
-import base64
+import binascii
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +32,7 @@ from .features import (
 )
 
 MODEL_MAGIC = "MIXTAG-MODEL"
-MODEL_VERSION = 2  # the one version written and read; version 1 files must be retrained
+MODEL_VERSION = 3  # the one version written and read; older files must be retrained
 
 
 class ModelFormatError(ValueError):
@@ -553,9 +553,27 @@ def _unescape_lines(lines: list[str], what: str) -> list[str]:
     return values
 
 
+def _row_keys(state: np.ndarray) -> list[bytes]:
+    """The bits of each row of a C-contiguous (rows, L) float64 array."""
+    return state.view(np.dtype((np.void, state.itemsize * state.shape[1]))).ravel().tolist()
+
+
+def _encoded(raw: bytes) -> str:
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
 def save_model(model: Model) -> bytes:
-    """Serialize to format v2, the one spelling ``load_model`` accepts."""
+    """Serialize to format v3, the one spelling ``load_model`` accepts.
+
+    Each distinct state row, compared as bits, is stored once, in order of
+    first use; the row ids give each attribute's row.
+    """
     labels, attributes = model.labels, model.index.attributes
+    L = len(labels)
+    weights = model.weights.astype("<f8")
+    keys = _row_keys(weights[L * L:].reshape(-1, L))
+    first = dict(zip(dict.fromkeys(keys), range(len(keys))))  # row -> id, in order of first use
+    ids = np.fromiter(map(first.__getitem__, keys), dtype="<u4", count=len(keys))
     lexicon = model.lexicon.sorted_items()
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
@@ -566,10 +584,25 @@ def save_model(model: Model) -> bytes:
         *(f"{escape_value(short)}\t{escape_value(word)}" for short, word in lexicon),
         f"attributes {len(attributes)}",
         *map(escape_value, attributes),
+        f"rows {len(first)}",
+        _encoded(ids.tobytes()),
         "weights",
-        base64.b64encode(model.weights.astype("<f8").tobytes()).decode("ascii"),
+        _encoded(weights[: L * L].tobytes() + b"".join(first)),
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _decoded(line: str, what: str) -> bytes:
+    """The bytes of a base64 line, spelled as ``_encoded`` spells them."""
+    try:
+        raw = binascii.a2b_base64(line, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII line
+        raise ModelFormatError(f"bad {what} line: {exc}") from None
+    # strict decoding takes only padded 4-digit quanta, but ignores the
+    # unused low bits of the last quantum's last digit; encoding zeroes them
+    if line and _encoded(raw[3 * (len(line) // 4 - 1):]) != line[-4:]:
+        raise ModelFormatError(f"non-canonical {what} line")
+    return raw
 
 
 class _Lines:
@@ -607,12 +640,12 @@ class _Lines:
 
 
 def load_model(data: bytes) -> Model:
-    """Parse a model file in format v2; anything else raises ModelFormatError.
+    """Parse a model file in format v3; anything else raises ModelFormatError.
 
     A file loads only in the spelling ``save_model`` writes, so
     ``save_model(load_model(b)) == b``; its ``FeatureIndex`` rejects
-    unsorted attributes.  Version 1 files, which did not store the
-    lexicon, are rejected with a message to retrain the model.
+    unsorted attributes.  Files of versions 1 and 2 are rejected with a
+    message to retrain the model.
     """
     try:
         lines = _Lines(data.decode("utf-8"))
@@ -621,9 +654,9 @@ def load_model(data: bytes) -> Model:
     header = lines.take(1)[0].split(" ")
     if len(header) != 2 or header[0] != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
-    if header[1] == "1":
+    if header[1] in ("1", "2"):
         raise ModelFormatError(
-            "model format version 1 is no longer read; retrain the model with mixtag train"
+            f"model format version {header[1]} is no longer read; retrain the model with mixtag train"
         )
     if header[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported model version {header[1]!r}")
@@ -658,21 +691,31 @@ def load_model(data: bytes) -> Model:
     except ValueError as exc:  # attributes not strictly sorted
         raise ModelFormatError(str(exc)) from None
 
+    L, n_rows = len(labels), lines.count("rows")
+    raw = _decoded(lines.take(1)[0], "row ids")
+    if len(raw) != 4 * len(attributes):
+        raise ModelFormatError(f"row ids line holds {len(raw) / 4:g} ids, expected {len(attributes)}")
+    ids = np.frombuffer(raw, dtype="<u4")
+    # in order of first use, each id is at most one above the largest before it
+    top = np.maximum.accumulate(ids.astype(np.int64))
+    if np.any(np.diff(top, prepend=-1) > 1):
+        raise ModelFormatError("row ids not in order of first use")
+    used = int(top[-1]) + 1 if len(top) else 0
+    if used != n_rows:
+        raise ModelFormatError(f"row ids number {used} rows, expected {n_rows}")
+
     lines.expect("weights")
-    encoded = lines.take(1)[0]
-    try:
-        raw = base64.b64decode(encoded, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII line
-        raise ModelFormatError(f"bad weights line: {exc}") from None
-    # decoding ignores the unused low bits of the last digit; encoding zeroes them
-    if base64.b64encode(raw) != encoded.encode("ascii"):
-        raise ModelFormatError("non-canonical weights line")
-    if len(raw) != 8 * index.size:
-        raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {index.size}")
+    raw = _decoded(lines.take(1)[0], "weights")
+    if len(raw) != 8 * L * (L + n_rows):
+        raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {L * (L + n_rows)}")
     if lines.pos != len(lines.lines):
         raise ModelFormatError("trailing garbage after weights block")
 
-    weights = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    stored = np.frombuffer(raw, dtype="<f8")
+    rows = stored[L * L:].reshape(-1, L)
+    if len(set(_row_keys(rows))) != n_rows:
+        raise ModelFormatError("stored state rows not distinct")
+    weights = np.concatenate([stored[: L * L], rows.take(ids, axis=0).ravel()])
     try:
         return Model(index, weights, catalogue, lexicon)
     except ValueError as exc:  # a non-finite weight

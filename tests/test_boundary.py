@@ -5,7 +5,9 @@ and ``tagging`` take from ``crf`` no private name other than the two
 batched recursions.  The parameter layout is built and sized in ``crf``
 alone: no other module constructs a ``FeatureIndex`` or reads its label
 count, and none reads a batch's pair arrays or the group map and scale of
-its grouped space.  The modules are read with ``ast``, not imported.
+its grouped space.  The model file format has one owner too: no module
+other than ``crf`` imports a base64 codec.  The modules are read with
+``ast``, not imported.
 """
 
 import ast
@@ -80,3 +82,27 @@ def test_only_crf_reads_the_pairs_and_the_groups(module):
 
 def test_batch_array_check_sees_crf():
     assert {use.split()[0] for use in batch_array_reads("crf")} == {f".{name}" for name in BATCH_ARRAYS}
+
+
+CODECS = {"base64", "binascii"}
+
+
+def codec_imports(module: str) -> set[str]:
+    """The base64 codec modules that a module imports."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported & CODECS
+
+
+@pytest.mark.parametrize("module", OTHER_MODULES)
+def test_only_crf_imports_a_base64_codec(module):
+    assert codec_imports(module) == set()
+
+
+def test_codec_check_sees_crf():
+    assert codec_imports("crf") == {"binascii"}

@@ -269,7 +269,7 @@ class TestTag:
 
     def test_model_version_mismatch(self, workdir, capsys):
         model = self._train(workdir, capsys)
-        data = model.read_bytes().replace(b"MIXTAG-MODEL 2", b"MIXTAG-MODEL 3", 1)
+        data = model.read_bytes().replace(b"MIXTAG-MODEL 3", b"MIXTAG-MODEL 4", 1)
         model.write_bytes(data)
         code, _, err = run(
             ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
@@ -277,7 +277,7 @@ class TestTag:
             capsys,
         )
         assert code == 2
-        assert "version" in err
+        assert err == f"mixtag: {model}: unsupported model version '4'\n"
 
     def test_unknown_label_in_model_is_data_error(self, workdir, capsys):
         model = self._train(workdir, capsys)
@@ -556,6 +556,24 @@ class TestModelFeatures:
             )
             assert code == 2
             assert err == (f"mixtag: {model_path}: model format version 1 is no longer read; "
+                           "retrain the model with mixtag train\n")
+            assert stdout == ""
+            assert not out.exists()
+
+    def test_v2_model_exits_2(self, trained, capsys):
+        tmp_path, model_path = trained
+        # the spelling the package wrote before format 3: every state row in
+        # one weights line
+        model_path.write_bytes(b"MIXTAG-MODEL 2\nlabels 1\nX\ncatalogue all\nlexicon 0\n"
+                               b"attributes 1\nW0=a\nweights\nAAAAAAAA4D8AAAAAAADwPw==\n")
+        out = tmp_path / "tagged.txt"
+        for command, output in [("tag", ["--output", str(out)]), ("features", [])]:
+            code, stdout, err = run(
+                [command, "--input", str(tmp_path / "test.txt"), *output, "--model", str(model_path)],
+                capsys,
+            )
+            assert code == 2
+            assert err == (f"mixtag: {model_path}: model format version 2 is no longer read; "
                            "retrain the model with mixtag train\n")
             assert stdout == ""
             assert not out.exists()

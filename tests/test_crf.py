@@ -35,17 +35,18 @@ def aset(*attrs):
     return tuple(attrs)
 
 
-# escaped attributes and lexicon entries; 10 weights, 80 bytes, so the
-# base64 line ends in padding
-SMALL_V2_MODEL = save_model(
-    Model(FeatureIndex(["N", "V"], ["W0=\\", "W0=a\tb", "W0=k1"]),
-          np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0, -0.0, 1e300]),
+# escaped attributes and lexicon entries; the first state row repeats, so
+# the file stores 3 rows: 4 row ids (16 bytes) and 10 weights (80 bytes),
+# and both base64 lines end in padding
+SMALL_MODEL = save_model(
+    Model(FeatureIndex(["N", "V"], ["W0=\\", "W0=a\tb", "W0=b", "W0=k1"]),
+          np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0, 1e-5, -2.5, -0.0, 1e300]),
           FeatureCatalogue().without("affixes"),
           NormalizationLexicon({"k\\1": "ka\nl", "kr": "kor"}))
 )
 # bytes that can shift fields and lines or break a count, plus the base64
 # alphabet's, an escape letter and a space
-V2_EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV /=AQgwnt"
+EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV /=AQgwnt"
 
 
 class TestLabelSet:
@@ -587,8 +588,8 @@ class TestPersistence:
         assert save_model(model) == save_model(model)
 
     def test_unsupported_version(self, rng):
-        data = save_model(self._model(rng)).replace(b"MIXTAG-MODEL 2", b"MIXTAG-MODEL 3", 1)
-        with pytest.raises(ModelFormatError, match="version"):
+        data = save_model(self._model(rng)).replace(b"MIXTAG-MODEL 3", b"MIXTAG-MODEL 4", 1)
+        with pytest.raises(ModelFormatError, match="^unsupported model version '4'$"):
             load_model(data)
 
     def test_version_1_rejected(self):
@@ -596,6 +597,15 @@ class TestPersistence:
         data = (b"MIXTAG-MODEL 1\nlabels 1\nX\ncatalogue all\nlexicon empty\n"
                 b"transitions\nX\tX\t0.5\nstates 0\n")
         with pytest.raises(ModelFormatError, match="^model format version 1 is no longer read; "
+                           "retrain the model with mixtag train$"):
+            load_model(data)
+
+    def test_version_2_rejected(self):
+        # the spelling the package wrote before format 3: every state row in
+        # one weights line
+        data = (b"MIXTAG-MODEL 2\nlabels 1\nX\ncatalogue all\nlexicon 0\nattributes 1\nW0=a\n"
+                b"weights\n" + base64.b64encode(np.array([0.5, 1.0]).astype("<f8").tobytes()) + b"\n")
+        with pytest.raises(ModelFormatError, match="^model format version 2 is no longer read; "
                            "retrain the model with mixtag train$"):
             load_model(data)
 
@@ -658,11 +668,17 @@ _LABEL = _NO_TAB.map(lambda text: text.replace("\n", "").replace("\r", "")).filt
 @st.composite
 def models(draw) -> Model:
     """Any model that builds: strictly sorted attributes, the empty one
-    included, and any valid label set, lexicon and catalogue."""
+    included, and any valid label set, lexicon and catalogue.  State rows
+    are drawn from a small pool, so rows repeat, and zeros come with either
+    sign, so some rows are equal as values but not as bits."""
     labels = draw(st.lists(_LABEL, min_size=1, max_size=3, unique=True))
     index = FeatureIndex(labels, sorted(draw(st.sets(_TEXT, max_size=5))))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    weights = draw(st.lists(finite, min_size=index.size, max_size=index.size))
+    L = len(labels)
+    finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+    pool = draw(st.lists(st.lists(finite, min_size=L, max_size=L), min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=len(index.attributes),
+                         max_size=len(index.attributes)))
+    weights = draw(st.lists(finite, min_size=L * L, max_size=L * L)) + [w for row in rows for w in row]
     families = FeatureCatalogue.family_names()
     off = draw(st.sets(st.sampled_from(families), max_size=len(families) - 1))
     lexicon = draw(st.dictionaries(_NO_TAB, _NO_TAB, max_size=3))
@@ -678,10 +694,69 @@ def test_every_model_saves_to_a_file_that_loads(model):
     assert loaded.labels == model.labels
     assert loaded.index.attributes == model.index.attributes
     assert loaded.weights.tobytes() == model.weights.tobytes()
+    # one stored row per distinct row of bits
+    L = len(model.labels)
+    distinct = {row.tobytes() for row in model.weights[L * L:].reshape(-1, L)}
+    assert f"\nrows {len(distinct)}\n".encode() in data
+
+
+# digits whose low bits are clear (A Q g w) or set (B), padding, and
+# characters outside the alphabet; or canonical lines
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from([*"AQgw+/=B", " ", "\r", "é"]), max_size=12)
+       | st.binary(max_size=7).map(lambda raw: base64.b64encode(raw).decode()))
+def test_base64_lines_accept_exactly_the_canonical_spelling(line):
+    # the reference: strict alphabet and padding, and the full re-encode
+    try:
+        expected = base64.b64decode(line, validate=True)
+        if base64.b64encode(expected).decode() != line:
+            expected = None
+    except ValueError:
+        expected = None
+    try:
+        got = crf._decoded(line, "test")
+    except ModelFormatError:
+        got = None
+    assert got == expected
 
 
 def _weights_line(data: bytes) -> bytes:
     return data.split(b"\nweights\n")[1].rstrip(b"\n")
+
+
+def _ids_line(data: bytes) -> bytes:
+    return data.split(b"\nweights\n")[0].rsplit(b"\n", 1)[1]
+
+
+def _stored_weights(data: bytes) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(_weights_line(data)), "<f8")
+
+
+def _with_lines(data: bytes, ids=None, weights=None, rows=None) -> bytes:
+    """``data`` with the row ids (uint32), the stored weights (float64) or
+    the rows count replaced."""
+    if ids is not None:
+        data = data.replace(_ids_line(data), base64.b64encode(np.array(ids, "<u4").tobytes()))
+    if weights is not None:
+        data = data.replace(_weights_line(data), base64.b64encode(np.array(weights, "<f8").tobytes()))
+    if rows is not None:
+        data = re.sub(rb"\nrows \d+\n", b"\nrows %d\n" % rows, data)
+    return data
+
+
+def _set_unused_bits(line: bytes) -> bytes:
+    """A padded base64 line with a low bit set in the last digit before the
+    padding: the bytes do not use it, so it decodes the same."""
+    assert line.endswith(b"=")
+    body = line.rstrip(b"=")
+    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    changed = body[:-1] + bytes([alphabet[alphabet.index(body[-1]) | 1]])
+    edited = changed + line[len(body):]
+    assert edited != line and base64.b64decode(edited) == base64.b64decode(line)
+    return edited
+
+
+BAD_BASE64 = [b"AAAA AAAA", b"aGVsbG8", b"!!!!", b"AA==AAAA", "AAA\u00e9".encode()]
 
 
 class TestPersistenceV2:
@@ -695,7 +770,7 @@ class TestPersistenceV2:
     def test_round_trip_carries_features(self, rng):
         model = self._model(rng)
         data = save_model(model)
-        assert data.startswith(b"MIXTAG-MODEL 2\n")
+        assert data.startswith(b"MIXTAG-MODEL 3\n")
         loaded = load_model(data)
         assert loaded.catalogue == model.catalogue
         assert loaded.lexicon.sorted_items() == model.lexicon.sorted_items()
@@ -707,13 +782,14 @@ class TestPersistenceV2:
     def test_file_layout(self, rng):
         lines = save_model(self._model(rng)).decode().split("\n")
         assert lines[:9] == [
-            "MIXTAG-MODEL 2", "labels 3", "N", "V", "PRP", "catalogue off:context,affixes",
+            "MIXTAG-MODEL 3", "labels 3", "N", "V", "PRP", "catalogue off:context,affixes",
             "lexicon 2", "k\\\\\tka\\nb", "krte\tkorte",
         ]
-        assert lines[9:15] == [
-            "attributes 4", "FLAG=ContainsDigit", "LEN=L_2", "W0=a\\\\b", "W0=khub", "weights",
+        assert lines[9:17] == [
+            "attributes 4", "FLAG=ContainsDigit", "LEN=L_2", "W0=a\\\\b", "W0=khub",
+            "rows 4", base64.b64encode(np.arange(4, dtype="<u4").tobytes()).decode(), "weights",
         ]
-        assert lines[16:] == [""]
+        assert lines[18:] == [""]
 
     @pytest.mark.parametrize("lexicon", [None, "0123456789abcdef"])
     def test_lexicon_required(self, rng, lexicon):
@@ -769,38 +845,75 @@ class TestPersistenceV2:
             load_model(data.replace(old, new))
 
     def test_non_canonical_weight_text(self):
-        # the last base64 digit before the padding carries bits the bytes
-        # do not use; setting one decodes to the same weights
-        line = _weights_line(SMALL_V2_MODEL)
-        assert line.endswith(b"=")
-        body = line.rstrip(b"=")
-        alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-        changed = body[:-1] + bytes([alphabet[alphabet.index(body[-1]) | 1]])
-        edited = changed + line[len(body):]
-        assert base64.b64decode(edited) == base64.b64decode(line)
-        with pytest.raises(ModelFormatError, match="non-canonical weights"):
-            load_model(SMALL_V2_MODEL.replace(line, edited))
+        line = _weights_line(SMALL_MODEL)
+        with pytest.raises(ModelFormatError, match="^non-canonical weights line$"):
+            load_model(SMALL_MODEL.replace(line, _set_unused_bits(line)))
 
-    @pytest.mark.parametrize(
-        "line", [b"AAAA AAAA", b"aGVsbG8", b"!!!!", b"AA==AAAA", "AAA\u00e9".encode()])
+    def test_non_canonical_row_ids_text(self):
+        line = _ids_line(SMALL_MODEL)
+        with pytest.raises(ModelFormatError, match="^non-canonical row ids line$"):
+            load_model(SMALL_MODEL.replace(line, _set_unused_bits(line)))
+
+    @pytest.mark.parametrize("line", BAD_BASE64)
     def test_bad_weight_text(self, line):
         with pytest.raises(ModelFormatError, match="bad weights line"):
-            load_model(SMALL_V2_MODEL.replace(_weights_line(SMALL_V2_MODEL), line))
+            load_model(SMALL_MODEL.replace(_weights_line(SMALL_MODEL), line))
+
+    @pytest.mark.parametrize("line", BAD_BASE64)
+    def test_bad_row_ids_text(self, line):
+        with pytest.raises(ModelFormatError, match="bad row ids line"):
+            load_model(SMALL_MODEL.replace(_ids_line(SMALL_MODEL), line))
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_weight_count(self, extra):
-        weights = load_model(SMALL_V2_MODEL).weights
+        # 4 transitions and 3 stored rows of 2
+        weights = _stored_weights(SMALL_MODEL)
         weights = weights[:extra] if extra < 0 else np.append(weights, [1.0])
-        line = base64.b64encode(weights.astype("<f8").tobytes())
-        with pytest.raises(ModelFormatError, match="expected 10"):
-            load_model(SMALL_V2_MODEL.replace(_weights_line(SMALL_V2_MODEL), line))
+        with pytest.raises(ModelFormatError, match="^weights line holds .* weights, expected 10$"):
+            load_model(_with_lines(SMALL_MODEL, weights=weights))
 
     def test_non_finite_weight(self):
-        weights = load_model(SMALL_V2_MODEL).weights.copy()
+        weights = _stored_weights(SMALL_MODEL).copy()
         weights[5] = np.nan
-        line = base64.b64encode(weights.astype("<f8").tobytes())
         with pytest.raises(ModelFormatError, match="non-finite"):
-            load_model(SMALL_V2_MODEL.replace(_weights_line(SMALL_V2_MODEL), line))
+            load_model(_with_lines(SMALL_MODEL, weights=weights))
+
+    @pytest.mark.parametrize("ids", [[0, 1, 0], [0, 1, 0, 2, 2]])
+    def test_wrong_row_id_count(self, ids):
+        with pytest.raises(ModelFormatError, match="^row ids line holds .* ids, expected 4$"):
+            load_model(_with_lines(SMALL_MODEL, ids=ids))
+
+    @pytest.mark.parametrize("ids", [[1, 0, 0, 2], [0, 2, 1, 0], [0, 0, 2, 1]])
+    def test_row_ids_out_of_first_use_order(self, ids):
+        # the same rows, numbered in another order, would be a second spelling
+        with pytest.raises(ModelFormatError, match="^row ids not in order of first use$"):
+            load_model(_with_lines(SMALL_MODEL, ids=ids))
+
+    @pytest.mark.parametrize("ids, used", [([0, 1, 2, 3], 4), ([0, 1, 0, 1], 2)])
+    def test_row_ids_must_number_every_stored_row(self, ids, used):
+        # id 3 names no stored row; or stored row 2 has no attribute
+        with pytest.raises(ModelFormatError, match=f"^row ids number {used} rows, expected 3$"):
+            load_model(_with_lines(SMALL_MODEL, ids=ids))
+
+    def test_stored_rows_must_differ(self):
+        # each attribute its own row, the first and third equal
+        weights = load_model(SMALL_MODEL).weights
+        data = _with_lines(SMALL_MODEL, ids=[0, 1, 2, 3], weights=weights, rows=4)
+        with pytest.raises(ModelFormatError, match="^stored state rows not distinct$"):
+            load_model(data)
+
+    def test_equal_rows_are_stored_once(self):
+        lines = SMALL_MODEL.split(b"\n")
+        assert lines[lines.index(b"rows 3") + 1] == base64.b64encode(np.array([0, 1, 0, 2], "<u4").tobytes())
+
+    def test_rows_equal_but_for_the_sign_of_zero_are_distinct(self):
+        weights = load_model(SMALL_MODEL).weights.copy()
+        weights[8] = -0.0
+        weights[9] = 0.0
+        weights[4:6] = 0.0
+        data = save_model(replace(load_model(SMALL_MODEL), weights=weights))
+        assert b"\nrows 4\n" in data
+        assert load_model(data).weights.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("fingerprint, message", [
         (b"off:nope", "unknown feature family"),
@@ -817,6 +930,7 @@ class TestPersistenceV2:
         (b"\nlabels 3\n", b"\nlabels 03\n"),
         (b"\nlexicon 2\n", b"\nlexicon +2\n"),
         (b"\nattributes 4\n", b"\nattributes 4 \n"),
+        (b"\nrows 4\n", b"\nrows 04\n"),
     ])
     def test_non_canonical_count(self, rng, old, new):
         with pytest.raises(ModelFormatError, match="count"):
@@ -837,9 +951,9 @@ class TestPersistenceV2:
             load_model(save_model(self._model(rng))[:-1])
 
     @settings(max_examples=300, deadline=None)
-    @given(byte_edits(SMALL_V2_MODEL, V2_EDIT_BYTES))
+    @given(byte_edits(SMALL_MODEL, EDIT_BYTES))
     def test_byte_edits_load_and_resave_identically(self, edits):
-        data = apply_byte_edits(SMALL_V2_MODEL, edits)
+        data = apply_byte_edits(SMALL_MODEL, edits)
         try:
             model = load_model(data)
         except ModelFormatError:

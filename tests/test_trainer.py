@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import deque
@@ -611,6 +612,16 @@ class TestTrain:
         stripped = strip_labels(corpus)
         assert tagging.tag_corpus(loaded, stripped) == corpus
         assert [tagging.tag_sentence(loaded, s) for s in stripped] == list(corpus)
+
+    def test_file_stores_at_most_one_state_row_per_group(self):
+        # every member of a group is trained to the same row of bits
+        corpus = cyclic_ambiguous_corpus(40, seed=3)
+        model, _ = train(corpus, config=TrainConfig(max_iterations=10))
+        data = crf.save_model(model)
+        groups = len(index_corpus(corpus).batch.grouped.index.attributes)
+        stored = int(re.search(rb"\nrows (\d+)\n", data)[1])
+        assert stored <= groups < len(model.index.attributes)
+        assert crf.load_model(data).weights.tobytes() == model.weights.tobytes()
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):

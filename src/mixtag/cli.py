@@ -125,6 +125,8 @@ def _load_model_arg(path: str):
 
 
 def cmd_tag(args) -> int:
+    with _file(args.output) as output:
+        _check_writable(output)
     model = _load_model_arg(args.model)
     source = _parse_file(args.input, corpus_mod.TEST2COL)
     # the model's own lexicon and catalogue

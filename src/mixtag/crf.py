@@ -114,9 +114,10 @@ class Compiled:
     batch that training optimizes over, are built on first use and kept.
 
     A grouped batch also holds ``group``, the group of each attribute row
-    of the batch it was built from, and ``scale``, sqrt(k_g) for each of
-    its own rows; only its ``scores`` and ``counts`` apply the scale, and
-    ``expand`` maps its weights back.
+    of the batch it was built from, and ``scale``, laid out as its weights:
+    1.0 in each transition slot and sqrt(k_g) in each state slot of group
+    g.  Only its ``scores`` and ``counts`` apply the scale, and ``expand``
+    maps its weights back.
     """
 
     index: FeatureIndex
@@ -124,7 +125,7 @@ class Compiled:
     cols: np.ndarray  # (pairs,) attribute row of each pair
     offsets: np.ndarray  # (sentences + 1,)
     group: np.ndarray | None = None  # (attributes of the full index,) grouped batches only
-    scale: np.ndarray | None = None  # (attribute rows,) grouped batches only
+    scale: np.ndarray | None = None  # (index.size,) grouped batches only
 
     def _bins(self, dest: np.ndarray) -> np.ndarray:
         """dest*L + label: L bins per pair, pair by pair."""
@@ -167,39 +168,38 @@ class Compiled:
         _, lowest = np.unique(group, return_index=True)
         keep = lowest[group[self.cols]] == self.cols
         index = FeatureIndex(self.index.labels, [self.index.attributes[a] for a in lowest])
-        return Compiled(
-            index, self.rows[keep], group[self.cols[keep]], self.offsets,
-            group, np.sqrt(np.bincount(group)),
-        )
-
-    def _scaled(self, vector: np.ndarray) -> np.ndarray:
-        """``vector``, laid out as the weights, with each state row times its
-        scale, in place; unchanged in an ungrouped batch."""
-        if self.scale is not None:
-            L = self.index.n_labels
-            state = vector[L * L:].reshape(-1, L)
-            state *= self.scale[:, None]
-        return vector
+        L = index.n_labels
+        scale = np.concatenate([np.ones(L * L), np.repeat(np.sqrt(np.bincount(group)), L)])
+        return Compiled(index, self.rows[keep], group[self.cols[keep]], self.offsets, group, scale)
 
     def expand(self, weights: np.ndarray) -> np.ndarray:
         """The full-length weights that a grouped batch's ``weights`` stand
         for: every member row of group g holds u_g / sqrt(k_g)."""
         L = self.index.n_labels
-        state = weights[L * L:].reshape(-1, L) / self.scale[:, None]
-        return np.concatenate([weights[: L * L], state[self.group].ravel()])
+        unscaled = weights / self.scale
+        state = unscaled[L * L:].reshape(-1, L)[self.group]
+        return np.concatenate([unscaled[: L * L], state.ravel()])
+
+    def _pair_sums(
+        self, terms: np.ndarray, pick: np.ndarray, bins: np.ndarray, size: int
+    ) -> np.ndarray:
+        """The rows ``pick`` of ``terms``, one per pair, summed into ``bins``
+        in pair order: ``size`` float64 sums."""
+        gathered = terms.take(pick, axis=0)  # faster than terms[pick]
+        # bincount counts in int64 when there is no pair at all
+        sums = np.bincount(bins, weights=gathered.ravel(), minlength=size)
+        return sums.astype(np.float64, copy=False)
 
     def scores(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """State scores (tokens, L) and transition scores (L, L), all finite.
         A token's state scores sum the W_state rows of its pairs in pair order."""
         if self.scale is not None:
-            weights = self._scaled(weights.copy())  # the caller owns the weights
+            weights = weights * self.scale  # a copy: the caller owns the weights
         L, tokens = self.index.n_labels, int(self.offsets[-1])
         trans = weights[: L * L].reshape(L, L)
-        terms = weights[L * L:].reshape(-1, L).take(self.cols, axis=0)  # faster than W[cols]
-        # bincount counts in int64 when there is no pair at all
-        state = np.bincount(
-            self._state_bins, weights=terms.ravel(), minlength=tokens * L
-        ).astype(np.float64, copy=False).reshape(tokens, L)
+        state = self._pair_sums(
+            weights[L * L:].reshape(-1, L), self.cols, self._state_bins, tokens * L
+        ).reshape(tokens, L)
         if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
             raise ValueError("non-finite lattice score")
         return state, trans
@@ -209,12 +209,11 @@ class Compiled:
         slots, and in each state slot the sum of ``node`` (tokens, L) over
         the pairs of its attribute row, in pair order."""
         L = self.index.n_labels
-        terms = node.take(self.rows, axis=0)
-        counts = np.bincount(
-            self._count_bins, weights=terms.ravel(), minlength=self.index.size
-        ).astype(np.float64, copy=False)
+        counts = self._pair_sums(node, self.rows, self._count_bins, self.index.size)
         counts[: L * L] = trans.ravel()  # no pair lands there
-        return self._scaled(counts)
+        if self.scale is not None:
+            counts *= self.scale
+        return counts
 
 
 @dataclass

@@ -159,37 +159,11 @@ class FeatureCatalogue:
         return catalogue
 
 
-ORTHO_FLAG_NAMES = (
-    "ContainsDigit",
-    "ContainsMoreDots",
-    "ContainsSlash",
-    "ContainsMoreSlash",
-    "ContainsAtTheRateBeg",
-    "ContainsAtTheRate",
-    "ContainsHash",
-    "ContainsHttp",
-    "ContainsHyphen",
-    "ContainsColon",
-    "ContainsHyphenatedNumber",
-    "ContainsDigitAndAlphabetBoth",
-    "ContainsPureDigitSeq",
-    "ContainsAllCaps",
-    "ContainsSeqOfSameChar",
-    "ContainsPuncSeq",
-    "ContainsCharsOtherThanAlphDigitPunc",
-    "LongRepeatedCharSeqAtEnd",
-    "ContainsLongVowelSeqInside",
-    "ThereExistsAsuffixDigitFollowsAlph",
-    "ThereExistsAsuffixDigit6FollowsAlphabets",
-    "ContainsFirstPartAlphabetSecondPartContainsOtherThanAlphDigitPunc",
-)
-
-
 def _fired_flags(s: str) -> list[str]:
-    """Names of the orthographic flags that fire on a nonempty surface, in
-    ``ORTHO_FLAG_NAMES`` order.  This is the one definition of the flags:
-    set tests on the surface's characters, and a regex only where a cheap
-    test shows it can match."""
+    """Names of the orthographic flags that fire on a nonempty surface.  This
+    is the one definition of the flags and of their order: set tests on the
+    surface's characters, and a regex only where a cheap test shows it can
+    match."""
     chars = set(s)
     fired: list[str] = []
     add = fired.append

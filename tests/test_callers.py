@@ -7,7 +7,9 @@ benchmark under ``perfbench/``, whose tracer names the functions it wraps
 in strings such as ``"crf.viterbi_lattice"``.  A private (``_``-prefixed)
 top-level function or class, or a private method of any class, must be
 named in a module of ``src/mixtag`` other than in its own definition;
-dunder methods are exempt.  Code that only tests call belongs in the tests.
+dunder methods are exempt.  A module-level name assigned in ``src/mixtag``
+must be read in a module of ``src/mixtag`` or named under ``perfbench/``.
+Code that only tests call belongs in the tests.
 """
 
 import ast
@@ -95,6 +97,44 @@ def uncalled(private: bool) -> list[str]:
     return uncalled
 
 
+def module_assignments():
+    """(qualified name, name) of each name a statement at the top level of a
+    module of src/mixtag, other than ``__init__.py``, assigns."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in parse(path).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            yield f"{path.stem}.{name.id}", name.id
+
+
+def src_reads() -> Counter:
+    """How often the modules of src/mixtag, other than ``__init__.py``, read
+    each name, as a variable or as an attribute."""
+    names = Counter()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names[node.id] += 1
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names[node.attr] += 1
+    return names
+
+
+def unread_assignments() -> list[str]:
+    reads, bench = src_reads(), perfbench_names()
+    return [
+        qualified
+        for qualified, name in module_assignments()
+        if not (name.startswith("__") and name.endswith("__"))
+        and not reads[name] and name not in bench
+    ]
+
+
 def test_every_public_definition_has_a_caller():
     uncalled_public = uncalled(private=False)
     assert uncalled_public == [], f"only tests (or nothing) call {uncalled_public}"
@@ -103,6 +143,11 @@ def test_every_public_definition_has_a_caller():
 def test_every_private_definition_has_a_caller():
     uncalled_private = uncalled(private=True)
     assert uncalled_private == [], f"nothing in src/mixtag calls {uncalled_private}"
+
+
+def test_every_module_level_name_is_read():
+    unread = unread_assignments()
+    assert unread == [], f"nothing in src/mixtag or perfbench reads {unread}"
 
 
 def test_allowed_names_are_acceptance_imports_without_another_caller():

@@ -305,6 +305,20 @@ class TestTag:
         assert err == f"mixtag: {output}: {os.strerror(errno.ENOENT)}\n"
         assert out == ""
 
+    def test_output_path_checked_before_the_model(self, workdir, capsys):
+        # the model does not exist either: the output path is named first
+        output = workdir / "no-such-dir" / "out.txt"
+        before = sorted(workdir.iterdir())
+        code, out, err = run(
+            ["tag", "--model", str(workdir / "absent.model"), "--input", str(workdir / "test.txt"),
+             "--output", str(output)],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"mixtag: {output}: {os.strerror(errno.ENOENT)}\n"
+        assert out == ""
+        assert sorted(workdir.iterdir()) == before
+
 
 class TestEval:
     def test_identical_files(self, workdir, capsys):

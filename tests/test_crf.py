@@ -156,13 +156,17 @@ class TestGrouped:
         # the lowest members' pairs, in pair order, and the size of each group
         assert self.token_runs(grouped) == [runs[a] for a in lowest]
         assert grouped.offsets is batch.offsets
-        assert np.array_equal(grouped.scale, np.sqrt(np.bincount(group)))
+        # the scale is laid out as the weights: 1 in each transition slot
+        assert grouped.scale.shape == (grouped.index.size,)
+        assert np.array_equal(grouped.scale[:4], np.ones(4))
+        assert np.array_equal(grouped.scale[4:], np.repeat(np.sqrt(np.bincount(group)), 2))
 
     def test_distinct_rows_give_one_group_each(self, rng):
         sentences = [[aset("a"), aset("a", "b"), aset("b", "c")]]
         batch = index_features(sentences, ["A", "B"]).compile(sentences)
         grouped = batch.grouped
-        assert grouped.group.tolist() == [0, 1, 2] and grouped.scale.tolist() == [1.0, 1.0, 1.0]
+        assert grouped.group.tolist() == [0, 1, 2]
+        assert grouped.scale.tolist() == [1.0] * grouped.index.size
         assert grouped.index.attributes == batch.index.attributes
         u = rng.standard_normal(grouped.index.size)
         assert np.array_equal(grouped.expand(u), u)

@@ -168,7 +168,7 @@ class TestGroupedObjective:
             assert value == pytest.approx(full_value, rel=1e-12)
             assert np.allclose(grad[: L * L], full_grad[: L * L], rtol=1e-12, atol=1e-12)
             # each member's gradient row is its group's over sqrt(k_g)
-            rows = (grad[L * L:].reshape(-1, L) / batch.scale[:, None])[batch.group]
+            rows = (grad / batch.scale)[L * L:].reshape(-1, L)[batch.group]
             assert np.allclose(full_grad[L * L:].reshape(-1, L), rows, rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -192,9 +192,10 @@ class TestStoredBins:
     @classmethod
     def arrays(cls, indexed):
         batch = indexed.batch
+        stored = ("rows", "cols", "offsets", "group", "scale", *cls.BINS)
         return {
             "label_ids": indexed.label_ids,
-            **{name: getattr(batch, name) for name in ("rows", "cols", "offsets", *cls.BINS)},
+            **{name: getattr(batch, name) for name in stored if getattr(batch, name) is not None},
         }
 
     def test_index_corpus_builds_no_bins(self):
@@ -220,17 +221,21 @@ class TestStoredBins:
             assert "grouped" not in vars(batch) and batch.scale is None
 
     def test_weights_and_corpus_arrays_unchanged(self, rng):
-        indexed = index_corpus(toy_corpus())
-        w = rng.standard_normal(indexed.index.size)
-        w_before = w.copy()
-        before = {name: array.copy() for name, array in self.arrays(indexed).items()}
-        for _ in range(2):
-            _, grad = objective_and_gradient(w, indexed, 10.0)
-            grad += 1.0  # the caller owns the gradient
-            assert np.array_equal(w, w_before)
-            for name, array in self.arrays(indexed).items():
-                assert np.array_equal(array, before[name]), name
-                assert array.dtype == before[name].dtype, name
+        # the grouped batch too, whose scores and counts apply its scale
+        full = index_corpus(toy_corpus())
+        grouped = grouped_corpus(full)
+        assert grouped.batch.scale.max() > 1
+        for indexed in (full, grouped):
+            w = rng.standard_normal(indexed.index.size)
+            w_before = w.copy()
+            before = {name: array.copy() for name, array in self.arrays(indexed).items()}
+            for _ in range(2):
+                _, grad = objective_and_gradient(w, indexed, 10.0)
+                grad += 1.0  # the caller owns the gradient
+                assert np.array_equal(w, w_before)
+                for name, array in self.arrays(indexed).items():
+                    assert np.array_equal(array, before[name]), name
+                    assert array.dtype == before[name].dtype, name
 
     def test_batch_equals_compile_of_extracted_attributes(self):
         corpus = toy_corpus()

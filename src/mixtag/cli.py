@@ -101,11 +101,7 @@ def cmd_train(args) -> int:
     merged = merge_corpora(parts)
     if len(merged) == 0:
         raise CorpusError("training data contains no sentences")
-    try:
-        model, report = trainer.train(merged, lexicon, catalogue, config)
-    except trainer.TrainingError as exc:
-        print(f"mixtag: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    model, report = trainer.train(merged, lexicon, catalogue, config)
     with _file(args.model) as model_path:
         model_path.write_bytes(save_model(model))
     print(f"training sentences: {len(merged)}")
@@ -241,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CorpusError, LexiconError, ModelFormatError, ...
         print(f"mixtag: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except trainer.TrainingError as exc:
+        print(f"mixtag: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

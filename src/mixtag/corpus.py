@@ -25,6 +25,14 @@ class CorpusError(ValueError):
         self.line = line
 
 
+def _check_column(value: str, what: str) -> None:
+    """A column value is nonempty and holds no tab or line break."""
+    if not value:
+        raise CorpusError(f"empty {what}")
+    if "\t" in value or "\r" in value or "\n" in value:
+        raise CorpusError(f"{what} contains tab or newline")
+
+
 @dataclass(frozen=True)
 class Token:
     surface: str
@@ -34,20 +42,10 @@ class Token:
     def __post_init__(self):
         # every field is one column of a corpus line, so write_corpus can
         # write any token that builds
-        surface, lang, pos = self.surface, self.lang, self.pos
-        if not surface:
-            raise CorpusError("empty token surface")
-        if "\t" in surface or "\r" in surface or "\n" in surface:
-            raise CorpusError("token surface contains tab or newline")
-        if not lang:
-            raise CorpusError("empty language tag")
-        if "\t" in lang or "\r" in lang or "\n" in lang:
-            raise CorpusError("language tag contains tab or newline")
-        if pos is not None:
-            if not pos:
-                raise CorpusError("empty POS tag")
-            if "\t" in pos or "\r" in pos or "\n" in pos:
-                raise CorpusError("POS tag contains tab or newline")
+        _check_column(self.surface, "token surface")
+        _check_column(self.lang, "language tag")
+        if self.pos is not None:
+            _check_column(self.pos, "POS tag")
 
 
 @dataclass(frozen=True)

@@ -190,19 +190,16 @@ class Compiled:
         sums = np.bincount(bins, weights=gathered.ravel(), minlength=size)
         return sums.astype(np.float64, copy=False)
 
-    def scores(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """State scores (tokens, L) and transition scores (L, L), all finite.
-        A token's state scores sum the W_state rows of its pairs in pair order."""
+    def scores(self, weights: np.ndarray) -> Lattice:
+        """The batch's lattice, one state row per token.  A token's state
+        scores sum the W_state rows of its pairs in pair order."""
         if self.scale is not None:
             weights = weights * self.scale  # a copy: the caller owns the weights
         L, tokens = self.index.n_labels, int(self.offsets[-1])
-        trans = weights[: L * L].reshape(L, L)
         state = self._pair_sums(
             weights[L * L:].reshape(-1, L), self.cols, self._state_bins, tokens * L
         ).reshape(tokens, L)
-        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(trans))):
-            raise ValueError("non-finite lattice score")
-        return state, trans
+        return Lattice(state, weights[: L * L].reshape(L, L))
 
     def counts(self, node: np.ndarray, trans: np.ndarray) -> np.ndarray:
         """Counts laid out as the weights: ``trans`` (L, L) in the transition
@@ -253,28 +250,21 @@ class Model:
         lexicon: NormalizationLexicon | None = None,
         catalogue: FeatureCatalogue | None = None,
     ) -> tuple[NormalizationLexicon, FeatureCatalogue]:
-        """The lexicon and catalogue to extract with: the model's own where
-        an argument is None.  An explicit one must match the model's."""
-        if catalogue is None:
-            catalogue = self.catalogue
-        elif catalogue != self.catalogue:
-            raise ValueError(
-                f"catalogue {catalogue.fingerprint()} does not match the model's "
-                f"{self.catalogue.fingerprint()}"
-            )
-        if lexicon is None:
-            lexicon = self.lexicon
-        elif lexicon.fingerprint() != self.lexicon.fingerprint():
-            raise ValueError(
-                f"lexicon {lexicon.fingerprint()} does not match the model's "
-                f"{self.lexicon.fingerprint()}"
-            )
-        return lexicon, catalogue
+        """The model's own lexicon and catalogue, to extract with.  An
+        argument that is not None must match the model's (else ValueError)."""
+        for name, given, own in (
+            ("catalogue", catalogue, self.catalogue), ("lexicon", lexicon, self.lexicon)
+        ):
+            if given is not None and given.fingerprint() != own.fingerprint():
+                raise ValueError(
+                    f"{name} {given.fingerprint()} does not match the model's {own.fingerprint()}"
+                )
+        return self.lexicon, self.catalogue
 
 
 @dataclass
 class Lattice:
-    """Per-position label scores plus the shared transition score matrix."""
+    """Per-position label scores plus the shared transition score matrix, all finite."""
 
     state: np.ndarray  # (T, L)
     trans: np.ndarray  # (L, L), trans[y_prev, y]
@@ -282,7 +272,7 @@ class Lattice:
     def __post_init__(self):
         self.state = np.asarray(self.state, dtype=np.float64)
         self.trans = np.asarray(self.trans, dtype=np.float64)
-        if self.state.ndim != 2 or self.trans.shape != (self.L, self.L):
+        if self.state.ndim != 2 or self.trans.shape != (self.state.shape[1],) * 2:
             raise ValueError("inconsistent lattice dimensions")
         if self.T == 0:
             raise ValueError("a lattice needs at least one position")
@@ -292,10 +282,6 @@ class Lattice:
     @property
     def T(self) -> int:
         return self.state.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.state.shape[1]
 
 
 def index_features(
@@ -323,7 +309,7 @@ def index_features(
 
 def build_lattice(model: Model, attrs: Sequence[tuple[str, ...]]) -> Lattice:
     """Score every (position, label) pair; unknown attributes contribute 0."""
-    return Lattice(*model.index.compile([attrs]).scores(model.weights))
+    return model.index.compile([attrs]).scores(model.weights)
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:

@@ -55,7 +55,8 @@ def tag_corpus(
         return Corpus(())
     # streamed into compile, so no token's attribute strings outlive its row
     batch = model.index.compile(extract_corpus_attributes(corpus, lexicon, catalogue))
-    label_ids, _ = _viterbi(*batch.scores(model.weights), batch.offsets)
+    lattice = batch.scores(model.weights)
+    label_ids, _ = _viterbi(lattice.state, lattice.trans, batch.offsets)
     labels = list(map(model.labels.__getitem__, label_ids.tolist()))
     return Corpus(
         tuple(

@@ -142,7 +142,8 @@ def objective_and_gradient(
     """
     batch, gold = corpus.batch, corpus.label_ids
     weights = np.asarray(weights, dtype=np.float64)
-    state, trans = batch.scores(weights)
+    lattice = batch.scores(weights)
+    state, trans = lattice.state, lattice.trans
     node, edge, log_z = _forward_backward(state, trans, batch.offsets)
     L, tokens = len(trans), np.arange(len(gold))
     follows = np.ones(len(gold), dtype=bool)  # the token after another in its sentence

@@ -7,9 +7,12 @@ benchmark under ``perfbench/``, whose tracer names the functions it wraps
 in strings such as ``"crf.viterbi_lattice"``.  A private (``_``-prefixed)
 top-level function or class, or a private method of any class, must be
 named in a module of ``src/mixtag`` other than in its own definition;
-dunder methods are exempt.  A module-level name assigned in ``src/mixtag``
-must be read in a module of ``src/mixtag`` or named under ``perfbench/``.
-Code that only tests call belongs in the tests.
+dunder methods are exempt.  A public method or property of a public class
+must also be read as an attribute outside its own class body, in a module
+of ``src/mixtag`` or under ``perfbench/``, so that a name that merely
+matches a local variable does not count.  A module-level name assigned in
+``src/mixtag`` must be read in a module of ``src/mixtag`` or named under
+``perfbench/``.  Code that only tests call belongs in the tests.
 """
 
 import ast
@@ -47,12 +50,13 @@ def definitions():
                         yield f"{path.stem}.{node.name}.{item.name}", item.name, item, node.name
 
 
-def names_in(tree: ast.AST, dotted_strings: bool) -> Counter:
+def names_in(tree: ast.AST, dotted_strings: bool, attributes_only: bool = False) -> Counter:
     """How often a tree refers to each name; with ``dotted_strings``, also
-    the parts of string constants spelled like ``module.function``."""
+    the parts of string constants spelled like ``module.function``; with
+    ``attributes_only``, not the plain variable names."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
@@ -97,6 +101,28 @@ def uncalled(private: bool) -> list[str]:
     return uncalled
 
 
+def methods_unread_outside_their_class() -> list[str]:
+    """The public methods and properties of public classes in src/mixtag
+    that nothing reads as an attribute outside their own class body."""
+    reads = Counter()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            reads += names_in(parse(path), dotted_strings=False, attributes_only=True)
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        reads += names_in(parse(path), dotted_strings=True, attributes_only=True)
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in parse(path).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            inside = names_in(cls, dotted_strings=False, attributes_only=True)
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if reads[item.name] <= inside[item.name]:
+                        unread.append(f"{path.stem}.{cls.name}.{item.name}")
+    return unread
+
+
 def module_assignments():
     """(qualified name, name) of each name a statement at the top level of a
     module of src/mixtag, other than ``__init__.py``, assigns."""
@@ -138,6 +164,11 @@ def unread_assignments() -> list[str]:
 def test_every_public_definition_has_a_caller():
     uncalled_public = uncalled(private=False)
     assert uncalled_public == [], f"only tests (or nothing) call {uncalled_public}"
+
+
+def test_every_public_method_is_read_outside_its_class():
+    unread = methods_unread_outside_their_class()
+    assert unread == [], f"only their own class (or nothing) reads {unread}"
 
 
 def test_every_private_definition_has_a_caller():

@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -52,6 +53,32 @@ class TestTrain:
         assert model.exists()
         assert "training sentences: 3" in out
         assert "iterations:" in out and "final objective:" in out
+
+    def test_stdout_is_eight_lines_in_a_fixed_order(self, workdir, capsys):
+        # scripts read these lines, so their order and formats stay fixed
+        model = workdir / "model.txt"
+        code, out, err = run(
+            ["train", "--train", str(workdir / "train.txt"), "--model", str(model),
+             "--max-iter", "20"],
+            capsys,
+        )
+        assert code == 0, err
+        saved = load_model(model.read_bytes())
+        _, report = mixtag.trainer.train(
+            parse_corpus(TRAIN_TEXT, TRAIN3COL), config=TrainConfig(max_iterations=20)
+        )
+        lines = out.split("\n")
+        assert lines.pop() == "" and len(lines) == 8
+        assert lines[:6] == [
+            "training sentences: 3",
+            "training tokens: 6",
+            f"labels: {len(saved.labels)}",
+            f"parameters: {saved.index.size}",
+            f"iterations: {report.iterations}",
+            f"final objective: {report.final_objective:.6f}",
+        ]
+        assert re.fullmatch(r"wall time: \d+\.\d\ds", lines[6])
+        assert lines[7] == f"model written to {model}"
 
     def test_multiple_train_files_merged(self, workdir, capsys):
         for name in ("a.txt", "b.txt"):

@@ -195,6 +195,15 @@ class TestModel:
         with pytest.raises(ValueError, match="lexicon .* does not match"):
             replace(model, lexicon=other).features(lexicon=one)
 
+    def test_equal_features_give_the_models_own(self):
+        # a matching lexicon or catalogue built apart is checked, not used
+        model = Model(FeatureIndex(["A"], []), np.zeros(1),
+                      FeatureCatalogue().without("affixes"), NormalizationLexicon({"k": "ke"}))
+        lexicon, catalogue = NormalizationLexicon({"k": "ke"}), FeatureCatalogue().without("affixes")
+        assert lexicon is not model.lexicon and catalogue is not model.catalogue
+        got_lexicon, got_catalogue = model.features(lexicon, catalogue)
+        assert got_lexicon is model.lexicon and got_catalogue is model.catalogue
+
 
 class TestLattice:
     def test_empty_rejected(self):

@@ -309,9 +309,9 @@ class TestExactSums:
         for t, c in zip(rows, cols):
             for y in range(L):
                 state[t, y] += W[c, y]
-        got, trans = index_corpus(toy_corpus()).batch.scores(w)  # builds its bins afresh
-        assert np.array_equal(got, state)
-        assert np.array_equal(trans, w[: L * L].reshape(L, L))
+        lattice = index_corpus(toy_corpus()).batch.scores(w)  # builds its bins afresh
+        assert np.array_equal(lattice.state, state)
+        assert np.array_equal(lattice.trans, w[: L * L].reshape(L, L))
 
         # the objective's own state scores and marginals, from its stored bins;
         # the objective subtracts the gold labels from its node array in place
@@ -349,7 +349,7 @@ class TestExactSums:
         assert batch.offsets.tolist() == [0, 2, 4]
         w = rng.standard_normal(indexed.index.size)
         L = indexed.index.n_labels
-        state, _ = batch.scores(w)
+        state = batch.scores(w).state
         W = w[L * L:].reshape(-1, L)
         assert np.array_equal(state[[0, 2, 3]], np.zeros((3, L)))
         assert np.array_equal(state[1], 0.0 + W[2] + W[0])
@@ -361,6 +361,26 @@ class TestExactSums:
         w[slot] = np.inf
         with pytest.raises(ValueError, match="non-finite lattice score"):
             objective_and_gradient(w, indexed, 10.0)
+
+
+class TestScores:
+    """Every batch scores to one checked type, the ``Lattice``."""
+
+    @staticmethod
+    def batch(kind):
+        indexed = index_corpus(toy_corpus(), catalogue=LEAN)
+        if kind == "tagging":  # as tag_corpus compiles an unlabeled corpus
+            attrs = extract_corpus_attributes(strip_labels(toy_corpus()), catalogue=LEAN)
+            return indexed.index.compile(attrs)
+        return indexed.batch.grouped if kind == "grouped" else indexed.batch
+
+    @pytest.mark.parametrize("kind", ["tagging", "index_corpus", "grouped"])
+    def test_scores_are_a_lattice(self, kind, rng):
+        batch = self.batch(kind)
+        lattice = batch.scores(rng.standard_normal(batch.index.size))
+        assert isinstance(lattice, crf.Lattice)
+        L = batch.index.n_labels
+        assert lattice.state.shape == (batch.offsets[-1], L) and lattice.trans.shape == (L, L)
 
 
 # Recorded with scipy 1.17.1 (numpy 2.4.6), from scipy.optimize.minimize's

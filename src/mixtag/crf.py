@@ -5,15 +5,14 @@ Feature indexing, the compiled batch that training and tagging both score
 of log-space scores, forward-backward (partition function and posterior
 marginals; scaled in probability space, with a log-space recursion where
 the transition scores span too widely for exp), max-plus Viterbi decoding,
-and line-oriented model persistence.  State features conjoin a position's
-attributes with its label; transition features are dense label bigrams
-applied between positions t-1 and t for t >= 2 (the first position carries
-state features only).
+and model persistence: a text block, then raw row id and weight blocks.
+State features conjoin a position's attributes with its label; transition
+features are dense label bigrams applied between positions t-1 and t for
+t >= 2 (the first position carries state features only).
 """
 
 from __future__ import annotations
 
-import binascii
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,7 @@ from .features import (
 )
 
 MODEL_MAGIC = "MIXTAG-MODEL"
-MODEL_VERSION = 3  # the one version written and read; older files must be retrained
+MODEL_VERSION = 4  # the one version written and read; older files must be retrained
 
 
 class ModelFormatError(ValueError):
@@ -543,12 +542,13 @@ def _row_keys(state: np.ndarray) -> list[bytes]:
     return state.view(np.dtype((np.void, state.itemsize * state.shape[1]))).ravel().tolist()
 
 
-def _encoded(raw: bytes) -> str:
-    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+def _id_type(n_rows: int) -> np.dtype:
+    """Row ids take 2 bytes while every id fits in them, else 4."""
+    return np.dtype("<u2" if n_rows <= 1 << 16 else "<u4")
 
 
 def save_model(model: Model) -> bytes:
-    """Serialize to format v3, the one spelling ``load_model`` accepts.
+    """Serialize to format v4, the one spelling ``load_model`` accepts.
 
     Each distinct state row, compared as bits, is stored once, in order of
     first use; the row ids give each attribute's row.
@@ -558,10 +558,9 @@ def save_model(model: Model) -> bytes:
     weights = model.weights.astype("<f8")
     keys = _row_keys(weights[L * L:].reshape(-1, L))
     first = dict(zip(dict.fromkeys(keys), range(len(keys))))  # row -> id, in order of first use
-    ids = np.fromiter(map(first.__getitem__, keys), dtype="<u4", count=len(keys))
+    ids = np.fromiter(map(first.__getitem__, keys), dtype=_id_type(len(first)), count=len(keys))
     lexicon = model.lexicon.sorted_items()
     lines = [
-        f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"labels {len(labels)}",
         *labels,
         f"catalogue {model.catalogue.fingerprint()}",
@@ -570,33 +569,27 @@ def save_model(model: Model) -> bytes:
         f"attributes {len(attributes)}",
         *map(escape_value, attributes),
         f"rows {len(first)}",
-        _encoded(ids.tobytes()),
-        "weights",
-        _encoded(weights[: L * L].tobytes() + b"".join(first)),
+        "",
     ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    text = "\n".join(lines).encode("utf-8")
+    header = f"{MODEL_MAGIC} {MODEL_VERSION} {len(text)}\n".encode("ascii")
+    return b"".join([header, text, ids.tobytes(), weights[: L * L].tobytes(), *first])
 
 
-def _decoded(line: str, what: str) -> bytes:
-    """The bytes of a base64 line, spelled as ``_encoded`` spells them."""
-    try:
-        raw = binascii.a2b_base64(line, strict_mode=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII line
-        raise ModelFormatError(f"bad {what} line: {exc}") from None
-    # strict decoding takes only padded 4-digit quanta, but ignores the
-    # unused low bits of the last quantum's last digit; encoding zeroes them
-    if line and _encoded(raw[3 * (len(line) // 4 - 1):]) != line[-4:]:
-        raise ModelFormatError(f"non-canonical {what} line")
-    return raw
+def _decimal(text: str, name: str) -> int:
+    """``text`` as a count spelled in plain decimal, else ModelFormatError."""
+    if not (text.isascii() and text.isdigit() and str(int(text)) == text):
+        raise ModelFormatError(f"bad {name} {text!r}")
+    return int(text)
 
 
 class _Lines:
-    """A model file's lines, taken front to back."""
+    """A model file's text lines, each ending in a newline, taken front to back."""
 
     def __init__(self, text: str):
-        self.lines = text.split("\n")
-        if self.lines[-1] == "":
-            self.lines.pop()
+        if not text.endswith("\n"):
+            raise ModelFormatError("model text does not end with a newline")
+        self.lines = text[:-1].split("\n")
         self.pos = 0
 
     def take(self, n: int) -> list[str]:
@@ -604,10 +597,6 @@ class _Lines:
             raise ModelFormatError("truncated model file")
         self.pos += n
         return self.lines[self.pos - n:self.pos]
-
-    def expect(self, line: str) -> None:
-        if self.take(1) != [line]:
-            raise ModelFormatError(f"expected {line} block")
 
     def value(self, name: str) -> str:
         """The text after ``name`` on a ``name <value>`` line."""
@@ -617,36 +606,38 @@ class _Lines:
         return value
 
     def count(self, name: str) -> int:
-        """The count on a ``name <count>`` line, spelled in plain decimal."""
-        count = self.value(name)
-        if not (count.isascii() and count.isdigit() and str(int(count)) == count):
-            raise ModelFormatError(f"bad {name} count {count!r}")
-        return int(count)
+        """The count on a ``name <count>`` line."""
+        return _decimal(self.value(name), f"{name} count")
 
 
 def load_model(data: bytes) -> Model:
-    """Parse a model file in format v3; anything else raises ModelFormatError.
+    """Parse a model file in format v4; anything else raises ModelFormatError.
 
     A file loads only in the spelling ``save_model`` writes, so
     ``save_model(load_model(b)) == b``; its ``FeatureIndex`` rejects
-    unsorted attributes.  Files of versions 1 and 2 are rejected with a
+    unsorted attributes.  Files of versions 1 to 3 are rejected with a
     message to retrain the model.
     """
-    try:
-        lines = _Lines(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model file is not UTF-8: {exc}") from None
-    header = lines.take(1)[0].split(" ")
-    if len(header) != 2 or header[0] != MODEL_MAGIC:
+    end = data.find(b"\n")
+    if end < 0:
+        raise ModelFormatError("truncated model file")
+    magic, _, rest = data[:end].decode("utf-8", "replace").partition(" ")
+    version, _, size = rest.partition(" ")
+    if magic != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
-    if header[1] in ("1", "2"):
+    if version in ("1", "2", "3"):
         raise ModelFormatError(
-            f"model format version {header[1]} is no longer read; retrain the model with mixtag train"
+            f"model format version {version} is no longer read; retrain the model with mixtag train"
         )
-    if header[1] != str(MODEL_VERSION):
-        raise ModelFormatError(f"unsupported model version {header[1]!r}")
-    if not data.endswith(b"\n"):
-        raise ModelFormatError("model file does not end with a newline")
+    if version != str(MODEL_VERSION):
+        raise ModelFormatError(f"unsupported model version {version!r}")
+    start = end + 1 + _decimal(size, "text length")  # where the row ids begin
+    if start > len(data):
+        raise ModelFormatError("truncated model file")
+    try:
+        lines = _Lines(data[end + 1:start].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model text is not UTF-8: {exc}") from None
 
     try:
         labels = _checked_labels(lines.take(lines.count("labels")))
@@ -675,12 +666,18 @@ def load_model(data: bytes) -> Model:
         index = FeatureIndex(labels, attributes)
     except ValueError as exc:  # attributes not strictly sorted
         raise ModelFormatError(str(exc)) from None
-
     L, n_rows = len(labels), lines.count("rows")
-    raw = _decoded(lines.take(1)[0], "row ids")
-    if len(raw) != 4 * len(attributes):
-        raise ModelFormatError(f"row ids line holds {len(raw) / 4:g} ids, expected {len(attributes)}")
-    ids = np.frombuffer(raw, dtype="<u4")
+    if lines.pos != len(lines.lines):
+        raise ModelFormatError("text after the rows line")
+
+    A, id_type = len(attributes), _id_type(n_rows)
+    expected = A * id_type.itemsize + 8 * L * (L + n_rows)
+    if len(data) - start != expected:
+        raise ModelFormatError(
+            f"row id and weight blocks hold {len(data) - start} bytes, expected {expected}: "
+            f"{A} row ids of {id_type.itemsize} bytes and {L * (L + n_rows)} weights"
+        )
+    ids = np.frombuffer(data, id_type, A, start)
     # in order of first use, each id is at most one above the largest before it
     top = np.maximum.accumulate(ids.astype(np.int64))
     if np.any(np.diff(top, prepend=-1) > 1):
@@ -689,14 +686,7 @@ def load_model(data: bytes) -> Model:
     if used != n_rows:
         raise ModelFormatError(f"row ids number {used} rows, expected {n_rows}")
 
-    lines.expect("weights")
-    raw = _decoded(lines.take(1)[0], "weights")
-    if len(raw) != 8 * L * (L + n_rows):
-        raise ModelFormatError(f"weights line holds {len(raw) / 8:g} weights, expected {L * (L + n_rows)}")
-    if lines.pos != len(lines.lines):
-        raise ModelFormatError("trailing garbage after weights block")
-
-    stored = np.frombuffer(raw, dtype="<f8")
+    stored = np.frombuffer(data, "<f8", L * (L + n_rows), start + ids.nbytes)
     rows = stored[L * L:].reshape(-1, L)
     if len(set(_row_keys(rows))) != n_rows:
         raise ModelFormatError("stored state rows not distinct")

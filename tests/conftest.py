@@ -61,10 +61,12 @@ def rng():
     return np.random.default_rng(20160915)
 
 
-def byte_edits(data: bytes, edit_bytes: bytes):
-    """Lists of 1-3 (position, byte, op) edits of ``data``."""
+def byte_edits(data: bytes, edit_bytes: bytes, positions=None):
+    """Lists of 1-3 (position, byte, op) edits of ``data``, at positions
+    drawn from the strategy ``positions``, or else uniformly."""
+    positions = st.integers(0, len(data)) if positions is None else positions
     return st.lists(
-        st.tuples(st.integers(0, len(data)), st.sampled_from(list(edit_bytes)),
+        st.tuples(positions, st.sampled_from(list(edit_bytes)),
                   st.sampled_from(["replace", "insert", "delete"])),
         min_size=1, max_size=3,
     )
@@ -83,3 +85,16 @@ def apply_byte_edits(data: bytes, edits) -> bytes:
         else:
             out[pos] = byte
     return bytes(out)
+
+
+def model_parts(data: bytes) -> tuple[bytes, bytes]:
+    """A model file's text block and the binary blocks that follow it."""
+    header, _, rest = data.partition(b"\n")
+    size = int(header.rsplit(b" ", 1)[1])
+    return rest[:size], rest[size:]
+
+
+def model_file(text: bytes, blocks: bytes) -> bytes:
+    """A version 4 model file of a text block and binary blocks, its
+    length prefix to match."""
+    return b"MIXTAG-MODEL 4 %d\n" % len(text) + text + blocks

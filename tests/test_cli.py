@@ -17,7 +17,7 @@ from mixtag.features import EMPTY_LEXICON, FeatureCatalogue, extract_sentence_at
 from mixtag.tagging import tag_corpus, tag_sentence
 from mixtag.trainer import TrainConfig
 
-from conftest import position_attributes
+from conftest import model_file, model_parts, position_attributes
 from datagen import separable_corpus, strip_labels
 
 TRAIN_TEXT = (
@@ -296,7 +296,7 @@ class TestTag:
 
     def test_model_version_mismatch(self, workdir, capsys):
         model = self._train(workdir, capsys)
-        data = model.read_bytes().replace(b"MIXTAG-MODEL 3", b"MIXTAG-MODEL 4", 1)
+        data = model.read_bytes().replace(b"MIXTAG-MODEL 4 ", b"MIXTAG-MODEL 5 ", 1)
         model.write_bytes(data)
         code, _, err = run(
             ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
@@ -304,14 +304,15 @@ class TestTag:
             capsys,
         )
         assert code == 2
-        assert err == f"mixtag: {model}: unsupported model version '4'\n"
+        assert err == f"mixtag: {model}: unsupported model version '5'\n"
 
     def test_unknown_label_in_model_is_data_error(self, workdir, capsys):
         model = self._train(workdir, capsys)
-        lines = model.read_bytes().split(b"\n")
-        assert lines[1] == b"labels 3"
-        lines[3] = lines[2]  # the label block repeats its first label
-        model.write_bytes(b"\n".join(lines))
+        text, blocks = model_parts(model.read_bytes())
+        lines = text.split(b"\n")
+        assert lines[0] == b"labels 3"
+        lines[2] = lines[1]  # the label block repeats its first label
+        model.write_bytes(model_file(b"\n".join(lines), blocks))
         code, _, err = run(
             ["tag", "--model", str(model), "--input", str(workdir / "test.txt"),
              "--output", str(workdir / "out.txt")],
@@ -584,40 +585,42 @@ class TestModelFeatures:
         with pytest.raises(ValueError, match="catalogue all does not match"):
             tag_corpus(model, source, catalogue=FeatureCatalogue())
 
+    @staticmethod
+    def _assert_retrain(tmp_path, model_path, capsys, version):
+        out = tmp_path / "tagged.txt"
+        for command, output in [("tag", ["--output", str(out)]), ("features", [])]:
+            code, stdout, err = run(
+                [command, "--input", str(tmp_path / "test.txt"), *output, "--model", str(model_path)],
+                capsys,
+            )
+            assert code == 2
+            assert err == (f"mixtag: {model_path}: model format version {version} is no longer read; "
+                           "retrain the model with mixtag train\n")
+            assert stdout == ""
+            assert not out.exists()
+
     def test_v1_model_with_lexicon_exits_2(self, trained, capsys):
         tmp_path, model_path = trained
         # the spelling the package wrote before format 2, with a lexicon fingerprint
         model_path.write_bytes(b"MIXTAG-MODEL 1\nlabels 1\nX\ncatalogue all\n"
                                b"lexicon 116e12c92c0cdd8b\ntransitions\nX\tX\t0.5\nstates 0\n")
-        out = tmp_path / "tagged.txt"
-        for command, output in [("tag", ["--output", str(out)]), ("features", [])]:
-            code, stdout, err = run(
-                [command, "--input", str(tmp_path / "test.txt"), *output, "--model", str(model_path)],
-                capsys,
-            )
-            assert code == 2
-            assert err == (f"mixtag: {model_path}: model format version 1 is no longer read; "
-                           "retrain the model with mixtag train\n")
-            assert stdout == ""
-            assert not out.exists()
+        self._assert_retrain(tmp_path, model_path, capsys, 1)
 
     def test_v2_model_exits_2(self, trained, capsys):
         tmp_path, model_path = trained
         # the spelling the package wrote before format 3: every state row in
-        # one weights line
+        # one base64 weights line
         model_path.write_bytes(b"MIXTAG-MODEL 2\nlabels 1\nX\ncatalogue all\nlexicon 0\n"
                                b"attributes 1\nW0=a\nweights\nAAAAAAAA4D8AAAAAAADwPw==\n")
-        out = tmp_path / "tagged.txt"
-        for command, output in [("tag", ["--output", str(out)]), ("features", [])]:
-            code, stdout, err = run(
-                [command, "--input", str(tmp_path / "test.txt"), *output, "--model", str(model_path)],
-                capsys,
-            )
-            assert code == 2
-            assert err == (f"mixtag: {model_path}: model format version 2 is no longer read; "
-                           "retrain the model with mixtag train\n")
-            assert stdout == ""
-            assert not out.exists()
+        self._assert_retrain(tmp_path, model_path, capsys, 2)
+
+    def test_v3_model_exits_2(self, trained, capsys):
+        tmp_path, model_path = trained
+        # the spelling the package wrote before format 4: the row ids and
+        # the weights as base64 lines of text
+        model_path.write_bytes(b"MIXTAG-MODEL 3\nlabels 1\nX\ncatalogue all\nlexicon 0\n"
+                               b"attributes 1\nW0=a\nrows 1\nAAAAAA==\nweights\nAAAAAAAA4D8AAAAAAADwPw==\n")
+        self._assert_retrain(tmp_path, model_path, capsys, 3)
 
     def test_features_with_model(self, trained, capsys):
         tmp_path, model_path = trained

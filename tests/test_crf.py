@@ -1,4 +1,3 @@
-import base64
 import math
 import re
 from dataclasses import replace
@@ -28,7 +27,7 @@ from mixtag.crf import (
 )
 
 import oracles
-from conftest import apply_byte_edits, byte_edits, model_from_lattice
+from conftest import apply_byte_edits, byte_edits, model_file, model_from_lattice, model_parts
 
 
 def aset(*attrs):
@@ -36,17 +35,24 @@ def aset(*attrs):
 
 
 # escaped attributes and lexicon entries; the first state row repeats, so
-# the file stores 3 rows: 4 row ids (16 bytes) and 10 weights (80 bytes),
-# and both base64 lines end in padding
+# the file stores 3 rows: 4 row ids (8 bytes) and 10 weights (80 bytes)
 SMALL_MODEL = save_model(
     Model(FeatureIndex(["N", "V"], ["W0=\\", "W0=a\tb", "W0=b", "W0=k1"]),
           np.array([0.5, -1.25, 3.0, 0.0, 1e-5, -2.5, 0.125, 7.0, 1e-5, -2.5, -0.0, 1e300]),
           FeatureCatalogue().without("affixes"),
           NormalizationLexicon({"k\\1": "ka\nl", "kr": "kor"}))
 )
-# bytes that can shift fields and lines or break a count, plus the base64
-# alphabet's, an escape letter and a space
-EDIT_BYTES = b"\t\n\\\r0123456789e+-_.\x00\xffNV /=AQgwnt"
+# bytes that can shift fields and lines, break a count or the length prefix,
+# or change a row id, a weight's sign or its exponent
+EDIT_BYTES = b"\t\n\\\r0123456789e+-_. NV\x00\x01\x02\x03\x7f\x80\xf0\xff"
+# the length prefix, the text block and the binary blocks, drawn alike
+_TEXT_START = SMALL_MODEL.index(b"\n") + 1
+_BLOCKS_START = _TEXT_START + len(model_parts(SMALL_MODEL)[0])
+EDIT_POSITIONS = st.one_of(
+    st.integers(SMALL_MODEL.rindex(b" ", 0, _TEXT_START), _TEXT_START),
+    st.integers(_TEXT_START, _BLOCKS_START),
+    st.integers(_BLOCKS_START, len(SMALL_MODEL)),
+)
 
 
 class TestLabelSet:
@@ -601,8 +607,8 @@ class TestPersistence:
         assert save_model(model) == save_model(model)
 
     def test_unsupported_version(self, rng):
-        data = save_model(self._model(rng)).replace(b"MIXTAG-MODEL 3", b"MIXTAG-MODEL 4", 1)
-        with pytest.raises(ModelFormatError, match="^unsupported model version '4'$"):
+        data = save_model(self._model(rng)).replace(b"MIXTAG-MODEL 4 ", b"MIXTAG-MODEL 5 ", 1)
+        with pytest.raises(ModelFormatError, match="^unsupported model version '5'$"):
             load_model(data)
 
     def test_version_1_rejected(self):
@@ -615,10 +621,19 @@ class TestPersistence:
 
     def test_version_2_rejected(self):
         # the spelling the package wrote before format 3: every state row in
-        # one weights line
+        # one base64 weights line
         data = (b"MIXTAG-MODEL 2\nlabels 1\nX\ncatalogue all\nlexicon 0\nattributes 1\nW0=a\n"
-                b"weights\n" + base64.b64encode(np.array([0.5, 1.0]).astype("<f8").tobytes()) + b"\n")
+                b"weights\nAAAAAAAA4D8AAAAAAADwPw==\n")
         with pytest.raises(ModelFormatError, match="^model format version 2 is no longer read; "
+                           "retrain the model with mixtag train$"):
+            load_model(data)
+
+    def test_version_3_rejected(self):
+        # the spelling the package wrote before format 4: the row ids and
+        # the weights as base64 lines of text
+        data = (b"MIXTAG-MODEL 3\nlabels 1\nX\ncatalogue all\nlexicon 0\nattributes 1\nW0=a\n"
+                b"rows 1\nAAAAAA==\nweights\nAAAAAAAA4D8AAAAAAADwPw==\n")
+        with pytest.raises(ModelFormatError, match="^model format version 3 is no longer read; "
                            "retrain the model with mixtag train$"):
             load_model(data)
 
@@ -628,28 +643,33 @@ class TestPersistence:
 
     def test_truncated(self, rng):
         data = save_model(self._model(rng))
-        # the first half, cut back to a line end: a cut inside a line fails
-        # the final-newline check first
-        with pytest.raises(ModelFormatError, match="truncated"):
-            load_model(data[: data.rindex(b"\n", 0, len(data) // 2) + 1])
+        text, blocks = model_parts(data)
+        blocks_start = len(data) - len(blocks)
+        # a cut before the text block ends
+        for end in [0, data.index(b"\n") + 1, blocks_start - len(text) // 2, blocks_start - 1]:
+            with pytest.raises(ModelFormatError, match="^truncated model file$"):
+                load_model(data[:end])
+        # a cut in the binary blocks: 3 row ids and 9 + 3 * 3 weights
+        for end in [blocks_start, blocks_start + 5, len(data) - 1]:
+            with pytest.raises(ModelFormatError, match=f"^row id and weight blocks hold {end - blocks_start} "
+                               "bytes, expected 150: 3 row ids of 2 bytes and 18 weights$"):
+                load_model(data[:end])
 
     def test_non_finite_weight_rejected(self, rng):
         model = self._model(rng)
-        data = save_model(model)
         weights = model.weights.copy()
         weights[0] = np.inf
-        line = base64.b64encode(weights.astype("<f8").tobytes())
         with pytest.raises(ModelFormatError, match="non-finite"):
-            load_model(data.replace(_weights_line(data), line))
+            load_model(_with_blocks(save_model(model), weights=weights))
 
     def test_bad_label_count(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nlabels 3\n", b"\nlabels x\n")
+        data = _text_edited(save_model(self._model(rng)), b"\nlabels 3\n", b"\nlabels x\n")
         with pytest.raises(ModelFormatError, match="labels count"):
             load_model(data)
 
     def test_special_characters_round_trip(self, rng):
         labels = ["X", "Y"]
-        # in sorted order, as v2 stores them
+        # in sorted order, as the file stores them
         idx = FeatureIndex(labels, sorted(["W0=a\tb", "W0=a\nb", "W0=a\\b", "W0=a\\tb", "W0=\\"]))
         model = Model(idx, rng.standard_normal(idx.size))
         loaded = load_model(save_model(model))
@@ -657,10 +677,10 @@ class TestPersistence:
         assert np.array_equal(loaded.weights, model.weights)
 
     def test_trailing_garbage(self, rng):
-        # a second weights line
+        # a second weights block
         data = save_model(self._model(rng))
-        with pytest.raises(ModelFormatError, match="trailing garbage after weights block"):
-            load_model(data + _weights_line(data) + b"\n")
+        with pytest.raises(ModelFormatError, match="^row id and weight blocks hold 294 bytes, expected 150"):
+            load_model(data + _blocks(data)[1].tobytes())
 
     def test_escaped_attribute_round_trip(self):
         labels = ["X"]
@@ -713,63 +733,31 @@ def test_every_model_saves_to_a_file_that_loads(model):
     assert f"\nrows {len(distinct)}\n".encode() in data
 
 
-# digits whose low bits are clear (A Q g w) or set (B), padding, and
-# characters outside the alphabet; or canonical lines
-@settings(max_examples=500, deadline=None)
-@given(st.text(st.sampled_from([*"AQgw+/=B", " ", "\r", "é"]), max_size=12)
-       | st.binary(max_size=7).map(lambda raw: base64.b64encode(raw).decode()))
-def test_base64_lines_accept_exactly_the_canonical_spelling(line):
-    # the reference: strict alphabet and padding, and the full re-encode
-    try:
-        expected = base64.b64decode(line, validate=True)
-        if base64.b64encode(expected).decode() != line:
-            expected = None
-    except ValueError:
-        expected = None
-    try:
-        got = crf._decoded(line, "test")
-    except ModelFormatError:
-        got = None
-    assert got == expected
+def _text_edited(data: bytes, old: bytes, new: bytes) -> bytes:
+    """``data`` with ``old`` replaced by ``new`` in its text block, read
+    after the newline that ends the header, and the length prefix to match."""
+    text, blocks = model_parts(data)
+    assert old in b"\n" + text
+    return model_file((b"\n" + text).replace(old, new)[1:], blocks)
 
 
-def _weights_line(data: bytes) -> bytes:
-    return data.split(b"\nweights\n")[1].rstrip(b"\n")
+def _blocks(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The row ids and the stored weights of a file with 2-byte row ids."""
+    text, blocks = model_parts(data)
+    ids = np.frombuffer(blocks, "<u2", int(re.search(rb"\nattributes (\d+)\n", text)[1]))
+    return ids, np.frombuffer(blocks, "<f8", offset=ids.nbytes)
 
 
-def _ids_line(data: bytes) -> bytes:
-    return data.split(b"\nweights\n")[0].rsplit(b"\n", 1)[1]
-
-
-def _stored_weights(data: bytes) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(_weights_line(data)), "<f8")
-
-
-def _with_lines(data: bytes, ids=None, weights=None, rows=None) -> bytes:
-    """``data`` with the row ids (uint32), the stored weights (float64) or
+def _with_blocks(data: bytes, ids=None, weights=None, rows=None) -> bytes:
+    """``data`` with the row ids (uint16), the stored weights (float64) or
     the rows count replaced."""
-    if ids is not None:
-        data = data.replace(_ids_line(data), base64.b64encode(np.array(ids, "<u4").tobytes()))
-    if weights is not None:
-        data = data.replace(_weights_line(data), base64.b64encode(np.array(weights, "<f8").tobytes()))
+    text, _ = model_parts(data)
+    old_ids, old_weights = _blocks(data)
     if rows is not None:
-        data = re.sub(rb"\nrows \d+\n", b"\nrows %d\n" % rows, data)
-    return data
-
-
-def _set_unused_bits(line: bytes) -> bytes:
-    """A padded base64 line with a low bit set in the last digit before the
-    padding: the bytes do not use it, so it decodes the same."""
-    assert line.endswith(b"=")
-    body = line.rstrip(b"=")
-    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-    changed = body[:-1] + bytes([alphabet[alphabet.index(body[-1]) | 1]])
-    edited = changed + line[len(body):]
-    assert edited != line and base64.b64decode(edited) == base64.b64decode(line)
-    return edited
-
-
-BAD_BASE64 = [b"AAAA AAAA", b"aGVsbG8", b"!!!!", b"AA==AAAA", "AAA\u00e9".encode()]
+        text = text[: text.rindex(b"\nrows ")] + b"\nrows %d\n" % rows
+    ids = np.array(old_ids if ids is None else ids, "<u2")
+    weights = np.array(old_weights if weights is None else weights, "<f8")
+    return model_file(text, ids.tobytes() + weights.tobytes())
 
 
 class TestPersistenceV2:
@@ -783,7 +771,7 @@ class TestPersistenceV2:
     def test_round_trip_carries_features(self, rng):
         model = self._model(rng)
         data = save_model(model)
-        assert data.startswith(b"MIXTAG-MODEL 3\n")
+        assert data.startswith(b"MIXTAG-MODEL 4 ")
         loaded = load_model(data)
         assert loaded.catalogue == model.catalogue
         assert loaded.lexicon.sorted_items() == model.lexicon.sorted_items()
@@ -793,16 +781,19 @@ class TestPersistenceV2:
         assert save_model(loaded) == data
 
     def test_file_layout(self, rng):
-        lines = save_model(self._model(rng)).decode().split("\n")
-        assert lines[:9] == [
-            "MIXTAG-MODEL 3", "labels 3", "N", "V", "PRP", "catalogue off:context,affixes",
+        model = self._model(rng)
+        data = save_model(model)
+        text, blocks = model_parts(data)
+        assert data == b"MIXTAG-MODEL 4 %d\n" % len(text) + text + blocks
+        assert text.decode().split("\n") == [
+            "labels 3", "N", "V", "PRP", "catalogue off:context,affixes",
             "lexicon 2", "k\\\\\tka\\nb", "krte\tkorte",
-        ]
-        assert lines[9:17] == [
             "attributes 4", "FLAG=ContainsDigit", "LEN=L_2", "W0=a\\\\b", "W0=khub",
-            "rows 4", base64.b64encode(np.arange(4, dtype="<u4").tobytes()).decode(), "weights",
+            "rows 4", "",
         ]
-        assert lines[18:] == [""]
+        # four distinct rows: ids 0-3 as little-endian uint16, then every
+        # weight as little-endian float64
+        assert blocks == np.arange(4, dtype="<u2").tobytes() + model.weights.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("lexicon", [None, "0123456789abcdef"])
     def test_lexicon_required(self, rng, lexicon):
@@ -811,24 +802,24 @@ class TestPersistenceV2:
             Model(model.index, model.weights, model.catalogue, lexicon)
 
     def test_unsorted_attributes(self, rng):
-        data = save_model(self._model(rng)).replace(
-            b"\nFLAG=ContainsDigit\nLEN=L_2\n", b"\nLEN=L_2\nFLAG=ContainsDigit\n")
+        data = _text_edited(save_model(self._model(rng)),
+                            b"\nFLAG=ContainsDigit\nLEN=L_2\n", b"\nLEN=L_2\nFLAG=ContainsDigit\n")
         with pytest.raises(ModelFormatError, match="attributes not strictly sorted"):
             load_model(data)
 
     def test_duplicate_attribute(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nFLAG=ContainsDigit\n", b"\nLEN=L_2\n")
+        data = _text_edited(save_model(self._model(rng)), b"\nFLAG=ContainsDigit\n", b"\nLEN=L_2\n")
         with pytest.raises(ModelFormatError, match="attributes not strictly sorted"):
             load_model(data)
 
     def test_unsorted_lexicon(self, rng):
-        data = save_model(self._model(rng)).replace(
-            b"\nk\\\\\tka\\nb\nkrte\tkorte\n", b"\nkrte\tkorte\nk\\\\\tka\\nb\n")
+        data = _text_edited(save_model(self._model(rng)),
+                            b"\nk\\\\\tka\\nb\nkrte\tkorte\n", b"\nkrte\tkorte\nk\\\\\tka\\nb\n")
         with pytest.raises(ModelFormatError, match="lexicon entries not strictly sorted"):
             load_model(data)
 
     def test_repeated_lexicon_short_form(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nkrte\tkorte\n", b"\nk\\\\\tkorte\n")
+        data = _text_edited(save_model(self._model(rng)), b"\nkrte\tkorte\n", b"\nk\\\\\tkorte\n")
         with pytest.raises(ModelFormatError, match="^lexicon entries not strictly sorted$"):
             load_model(data)
 
@@ -840,10 +831,9 @@ class TestPersistenceV2:
         (b"\nN\nV\nPRP\n", b"\nN\nV\r\nPRP\n", "invalid label 'V\\r'"),
     ], ids=["empty-set", "repeated", "empty-label", "tab", "cr"])
     def test_bad_label_block(self, rng, old, new, message):
-        data = save_model(self._model(rng))
-        assert old in data
+        data = _text_edited(save_model(self._model(rng)), old, new)
         with pytest.raises(ModelFormatError, match=f"^bad label block: {re.escape(message)}$"):
-            load_model(data.replace(old, new))
+            load_model(data)
 
     @pytest.mark.parametrize("old, new", [
         (b"\nLEN=L_2\n", b"\nLEN=L\\_2\n"),  # unescapes to LEN=L_2
@@ -852,72 +842,53 @@ class TestPersistenceV2:
         (b"\nLEN=L_2\n", b"\nLEN=L\t2\n"),  # a raw tab
     ])
     def test_non_canonical_escape(self, rng, old, new):
-        data = save_model(self._model(rng))
-        assert old in data
+        data = _text_edited(save_model(self._model(rng)), old, new)
         with pytest.raises(ModelFormatError, match="non-canonical escape"):
-            load_model(data.replace(old, new))
-
-    def test_non_canonical_weight_text(self):
-        line = _weights_line(SMALL_MODEL)
-        with pytest.raises(ModelFormatError, match="^non-canonical weights line$"):
-            load_model(SMALL_MODEL.replace(line, _set_unused_bits(line)))
-
-    def test_non_canonical_row_ids_text(self):
-        line = _ids_line(SMALL_MODEL)
-        with pytest.raises(ModelFormatError, match="^non-canonical row ids line$"):
-            load_model(SMALL_MODEL.replace(line, _set_unused_bits(line)))
-
-    @pytest.mark.parametrize("line", BAD_BASE64)
-    def test_bad_weight_text(self, line):
-        with pytest.raises(ModelFormatError, match="bad weights line"):
-            load_model(SMALL_MODEL.replace(_weights_line(SMALL_MODEL), line))
-
-    @pytest.mark.parametrize("line", BAD_BASE64)
-    def test_bad_row_ids_text(self, line):
-        with pytest.raises(ModelFormatError, match="bad row ids line"):
-            load_model(SMALL_MODEL.replace(_ids_line(SMALL_MODEL), line))
+            load_model(data)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_weight_count(self, extra):
         # 4 transitions and 3 stored rows of 2
-        weights = _stored_weights(SMALL_MODEL)
+        weights = _blocks(SMALL_MODEL)[1]
         weights = weights[:extra] if extra < 0 else np.append(weights, [1.0])
-        with pytest.raises(ModelFormatError, match="^weights line holds .* weights, expected 10$"):
-            load_model(_with_lines(SMALL_MODEL, weights=weights))
+        with pytest.raises(ModelFormatError, match=f"^row id and weight blocks hold {88 + 8 * extra} bytes, "
+                           "expected 88: 4 row ids of 2 bytes and 10 weights$"):
+            load_model(_with_blocks(SMALL_MODEL, weights=weights))
 
     def test_non_finite_weight(self):
-        weights = _stored_weights(SMALL_MODEL).copy()
+        weights = _blocks(SMALL_MODEL)[1].copy()
         weights[5] = np.nan
         with pytest.raises(ModelFormatError, match="non-finite"):
-            load_model(_with_lines(SMALL_MODEL, weights=weights))
+            load_model(_with_blocks(SMALL_MODEL, weights=weights))
 
     @pytest.mark.parametrize("ids", [[0, 1, 0], [0, 1, 0, 2, 2]])
     def test_wrong_row_id_count(self, ids):
-        with pytest.raises(ModelFormatError, match="^row ids line holds .* ids, expected 4$"):
-            load_model(_with_lines(SMALL_MODEL, ids=ids))
+        with pytest.raises(ModelFormatError, match=f"^row id and weight blocks hold {80 + 2 * len(ids)} "
+                           "bytes, expected 88: 4 row ids"):
+            load_model(_with_blocks(SMALL_MODEL, ids=ids))
 
     @pytest.mark.parametrize("ids", [[1, 0, 0, 2], [0, 2, 1, 0], [0, 0, 2, 1]])
     def test_row_ids_out_of_first_use_order(self, ids):
         # the same rows, numbered in another order, would be a second spelling
         with pytest.raises(ModelFormatError, match="^row ids not in order of first use$"):
-            load_model(_with_lines(SMALL_MODEL, ids=ids))
+            load_model(_with_blocks(SMALL_MODEL, ids=ids))
 
     @pytest.mark.parametrize("ids, used", [([0, 1, 2, 3], 4), ([0, 1, 0, 1], 2)])
     def test_row_ids_must_number_every_stored_row(self, ids, used):
         # id 3 names no stored row; or stored row 2 has no attribute
         with pytest.raises(ModelFormatError, match=f"^row ids number {used} rows, expected 3$"):
-            load_model(_with_lines(SMALL_MODEL, ids=ids))
+            load_model(_with_blocks(SMALL_MODEL, ids=ids))
 
     def test_stored_rows_must_differ(self):
         # each attribute its own row, the first and third equal
         weights = load_model(SMALL_MODEL).weights
-        data = _with_lines(SMALL_MODEL, ids=[0, 1, 2, 3], weights=weights, rows=4)
+        data = _with_blocks(SMALL_MODEL, ids=[0, 1, 2, 3], weights=weights, rows=4)
         with pytest.raises(ModelFormatError, match="^stored state rows not distinct$"):
             load_model(data)
 
     def test_equal_rows_are_stored_once(self):
-        lines = SMALL_MODEL.split(b"\n")
-        assert lines[lines.index(b"rows 3") + 1] == base64.b64encode(np.array([0, 1, 0, 2], "<u4").tobytes())
+        assert b"\nrows 3\n" in SMALL_MODEL
+        assert _blocks(SMALL_MODEL)[0].tolist() == [0, 1, 0, 2]
 
     def test_rows_equal_but_for_the_sign_of_zero_are_distinct(self):
         weights = load_model(SMALL_MODEL).weights.copy()
@@ -935,7 +906,7 @@ class TestPersistenceV2:
         (b"none", "bad catalogue"),
     ])
     def test_bad_catalogue(self, rng, fingerprint, message):
-        data = save_model(self._model(rng)).replace(b"off:context,affixes", fingerprint)
+        data = _text_edited(save_model(self._model(rng)), b"off:context,affixes", fingerprint)
         with pytest.raises(ModelFormatError, match=message):
             load_model(data)
 
@@ -947,24 +918,61 @@ class TestPersistenceV2:
     ])
     def test_non_canonical_count(self, rng, old, new):
         with pytest.raises(ModelFormatError, match="count"):
-            load_model(save_model(self._model(rng)).replace(old, new))
+            load_model(_text_edited(save_model(self._model(rng)), old, new))
 
     def test_lexicon_entry_with_tab(self, rng):
-        data = save_model(self._model(rng)).replace(b"\nkrte\tkorte\n", b"\nkrte\tko\\trte\n")
+        data = _text_edited(save_model(self._model(rng)), b"\nkrte\tkorte\n", b"\nkrte\tko\\trte\n")
         with pytest.raises(ModelFormatError, match="bad lexicon block"):
             load_model(data)
 
     @pytest.mark.parametrize("tail", [b"x\n", b"\n"])
     def test_trailing_lines(self, rng, tail):
-        with pytest.raises(ModelFormatError, match="trailing"):
-            load_model(save_model(self._model(rng)) + tail)
+        data = save_model(self._model(rng))
+        text, blocks = model_parts(data)
+        with pytest.raises(ModelFormatError, match="^text after the rows line$"):
+            load_model(model_file(text + tail, blocks))
+        with pytest.raises(ModelFormatError, match=f"^row id and weight blocks hold {len(blocks) + len(tail)} bytes"):
+            load_model(data + tail)
 
     def test_missing_final_newline(self, rng):
-        with pytest.raises(ModelFormatError, match="newline"):
-            load_model(save_model(self._model(rng))[:-1])
+        text, blocks = model_parts(save_model(self._model(rng)))
+        with pytest.raises(ModelFormatError, match="^model text does not end with a newline$"):
+            load_model(model_file(text[:-1], blocks))
 
-    @settings(max_examples=300, deadline=None)
-    @given(byte_edits(SMALL_MODEL, EDIT_BYTES))
+    @pytest.mark.parametrize("size", [b"0%d", b"+%d", b"-%d", b"%d ", b" %d", b"%d\r", b"%d.0", b"%dx"])
+    def test_non_canonical_text_length(self, size):
+        text, blocks = model_parts(SMALL_MODEL)
+        data = b"MIXTAG-MODEL 4 " + size % len(text) + b"\n" + text + blocks
+        with pytest.raises(ModelFormatError, match="^bad text length"):
+            load_model(data)
+
+    @pytest.mark.parametrize("short", [1, 2, 5])
+    def test_text_length_ending_mid_line(self, short):
+        # the text block would end inside the rows line
+        text, blocks = model_parts(SMALL_MODEL)
+        data = b"MIXTAG-MODEL 4 %d\n" % (len(text) - short) + text + blocks
+        with pytest.raises(ModelFormatError, match="^model text does not end with a newline$"):
+            load_model(data)
+
+    def test_text_length_past_the_end(self):
+        text, blocks = model_parts(SMALL_MODEL)
+        data = b"MIXTAG-MODEL 4 %d\n" % (len(text) + len(blocks) + 1) + text + blocks
+        with pytest.raises(ModelFormatError, match="^truncated model file$"):
+            load_model(data)
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"], ids=["ff", "cut", "surrogate"])
+    def test_text_not_utf8(self, bad):
+        data = _text_edited(SMALL_MODEL, b"\nN\n", b"\nN" + bad + b"\n")
+        with pytest.raises(ModelFormatError, match="^model text is not UTF-8"):
+            load_model(data)
+
+    def test_header_not_utf8(self):
+        data = SMALL_MODEL.replace(b"MIXTAG-MODEL 4 ", b"MIXTAG-MODEL \xff4 ", 1)
+        with pytest.raises(ModelFormatError, match="^unsupported model version '�4'$"):
+            load_model(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(byte_edits(SMALL_MODEL, EDIT_BYTES, EDIT_POSITIONS))
     def test_byte_edits_load_and_resave_identically(self, edits):
         data = apply_byte_edits(SMALL_MODEL, edits)
         try:
@@ -972,3 +980,33 @@ class TestPersistenceV2:
         except ModelFormatError:
             return
         assert save_model(model) == data
+
+
+class TestIdWidth:
+    """Row ids take 2 bytes while the stored rows number at most 65,536."""
+
+    @staticmethod
+    def _model(n_rows):
+        # one label, and a distinct state weight for each attribute
+        index = FeatureIndex(["X"], [f"A{i:05d}" for i in range(n_rows)])
+        return Model(index, np.arange(index.size) / 7)
+
+    @pytest.mark.parametrize("n_rows, width", [(65_536, 2), (65_537, 4)])
+    def test_width_follows_the_rows_count(self, n_rows, width):
+        model = self._model(n_rows)
+        data = save_model(model)
+        text, blocks = model_parts(data)
+        assert text.endswith(b"\nrows %d\n" % n_rows)
+        assert len(blocks) == width * n_rows + 8 * (1 + n_rows)
+        ids = np.frombuffer(blocks, f"<u{width}", n_rows)
+        assert np.array_equal(ids, np.arange(n_rows))
+        loaded = load_model(data)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert save_model(loaded) == data
+
+    @pytest.mark.parametrize("n_rows, claimed", [(65_536, 65_537), (65_537, 65_536)])
+    def test_blocks_must_match_the_rows_count(self, n_rows, claimed):
+        # the claimed count would take ids of the other width
+        data = _text_edited(save_model(self._model(n_rows)), b"\nrows %d\n" % n_rows, b"\nrows %d\n" % claimed)
+        with pytest.raises(ModelFormatError, match="^row id and weight blocks hold"):
+            load_model(data)

@@ -33,7 +33,7 @@ def _check_column(value: str, what: str) -> None:
         raise CorpusError(f"{what} contains tab or newline")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     lang: str
@@ -48,7 +48,7 @@ class Token:
             _check_column(self.pos, "POS tag")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     tokens: tuple[Token, ...]
 
@@ -66,7 +66,7 @@ class Sentence:
         return self.tokens[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
 
@@ -102,12 +102,18 @@ def parse_corpus(text: str, schema: str) -> Corpus:
 
     Blank lines end the current sentence; a trailing partial sentence is
     closed at end of input.  A leading byte-order mark is stripped.
+
+    Within a call, equal lines give one shared (immutable) token, and equal
+    column values one shared string, so a corpus whose surfaces and tags
+    repeat holds each of them once.
     """
     ncols = _check_schema(schema)
     text = text.removeprefix("\ufeff")
 
     sentences: list[Sentence] = []
     current: list[Token] = []
+    tokens: dict[str, Token] = {}  # line -> its token
+    share = {}.setdefault  # column value -> its one string
 
     def close_sentence():
         if current:
@@ -116,19 +122,21 @@ def parse_corpus(text: str, schema: str) -> Corpus:
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        if line == "":
-            close_sentence()
-            continue
-        cols = line.split("\t")
-        if len(cols) != ncols:
-            raise CorpusError(
-                f"expected {ncols} tab-separated columns, found {len(cols)}",
-                line=lineno,
-            )
-        try:
-            token = Token(*cols)
-        except CorpusError as exc:
-            raise CorpusError(str(exc), line=lineno) from None
+        token = tokens.get(line)
+        if token is None:
+            if line == "":
+                close_sentence()
+                continue
+            cols = line.split("\t")
+            if len(cols) != ncols:
+                raise CorpusError(
+                    f"expected {ncols} tab-separated columns, found {len(cols)}",
+                    line=lineno,
+                )
+            try:
+                token = tokens[line] = Token(*map(share, cols, cols))
+            except CorpusError as exc:
+                raise CorpusError(str(exc), line=lineno) from None
         current.append(token)
     close_sentence()
 

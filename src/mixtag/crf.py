@@ -76,6 +76,12 @@ class FeatureIndex:
             raise ValueError("attributes not strictly sorted")
         self.size = L * L + len(self.attributes) * L
 
+    def known(self, attributes: Iterable[str]) -> tuple[str, ...]:
+        """The attributes that own a row, in their order, each as the
+        string object of ``self.attributes``."""
+        own = self.attributes
+        return tuple([own[row] for row in map(self._row.get, attributes) if row is not None])
+
     def state_base(self, attribute: str) -> int | None:
         row = self._row.get(attribute)
         return None if row is None else self.n_labels * (self.n_labels + row)
@@ -468,29 +474,43 @@ def _viterbi(
     """Best label ids over a batch of sentences at once.
 
     Same input and ``_pack`` layout as ``_forward_backward``.  A backward
-    pass computes best-suffix scores and a forward pass takes the first
-    argmax at each step, so ties resolve to the lexicographically least
-    path.  Returns the label id of every token, in the input row order, and
-    the unnormalized best-path score of every sentence.
+    pass computes best-suffix scores and, for each label at each position,
+    the first best label at the next one; a forward pass takes the first
+    best label at each sentence's start and follows those successors, so
+    ties resolve to the lexicographically least path.  Returns the label id
+    of every token, in the input row order, and the unnormalized best-path
+    score of every sentence.
     """
     order, active, start, rows, _ = _pack(offsets)
     # plain ints: most decodes are one short sentence, where numpy scalar
     # indexing is a visible share of each step
     active, start = active.tolist(), start.tolist()
-    # best[r, y]: best score of the suffix from packed row r given label y there
+    L = trans.shape[0]
+    # best[r, y]: best score of the suffix from packed row r given label y
+    # there; succ[r, y]: the first label at row r's next position that
+    # attains it
     best = state[rows]
+    succ = np.empty((len(rows), L), dtype=np.int64)
+    flat = np.arange(active[0] * L) * L  # where each (row, label) of a step starts
     for t in range(len(active) - 2, -1, -1):
         n, cur, nxt = active[t + 1], start[t], start[t + 1]
-        best[cur:cur + n] += (trans + best[nxt:nxt + n, None, :]).max(axis=2)
-    path = np.empty(len(rows), dtype=np.int64)
-    path[: active[0]] = best[: active[0]].argmax(axis=1)
+        step = trans + best[nxt:nxt + n, None, :]
+        # argmax, then a gather of the max through it: max(axis=2) is slower
+        arg = step.argmax(axis=2)
+        best[cur:cur + n] += step.ravel()[flat[: n * L] + arg.ravel()].reshape(n, L)
+        succ[cur:cur + n] = arg
+    first = best[: active[0]].argmax(axis=1)
+    # the sentences at step t are the first active[t] of those at step t - 1,
+    # so path grows in packed row order
+    path, succ = first.tolist(), succ.ravel().tolist()
     for t in range(1, len(active)):
-        n, prev, cur = active[t], start[t - 1], start[t]
-        path[cur:cur + n] = (trans[path[prev:prev + n]] + best[cur:cur + n]).argmax(axis=1)
-    label_ids = np.empty_like(path)
+        prev = start[t - 1]
+        for r in range(prev, prev + active[t]):
+            path.append(succ[r * L + path[r]])
+    label_ids = np.empty(len(rows), dtype=np.int64)
     label_ids[rows] = path
     scores = np.empty(len(order))
-    scores[order] = best[np.arange(active[0]), path[: active[0]]]
+    scores[order] = best[np.arange(active[0]), first]
     return label_ids, scores
 
 
@@ -528,8 +548,12 @@ def viterbi(model: Model, attrs: Sequence[tuple[str, ...]]) -> tuple[list[str], 
 
 def _unescape_lines(lines: list[str], what: str) -> list[str]:
     """The values of escaped lines, each spelled as ``escape_value`` spells it."""
+    # escape_value leaves a line without a backslash or a tab as it is, and
+    # one test of the joined block is faster than one per line
+    block = "\n".join(lines)
+    if "\\" not in block and "\t" not in block:
+        return lines
     values = lines.copy()
-    # escape_value leaves any other line as it is
     for i in [i for i, line in enumerate(lines) if "\\" in line or "\t" in line]:
         values[i] = unescape_value(lines[i])
         if escape_value(values[i]) != lines[i]:

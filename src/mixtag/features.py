@@ -12,7 +12,7 @@ import hashlib
 import re
 import string
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .corpus import CorpusError, Sentence, Token
 
@@ -317,14 +317,17 @@ def extract_corpus_attributes(
     sentences: Iterable[Sentence],
     lexicon: NormalizationLexicon = EMPTY_LEXICON,
     catalogue: FeatureCatalogue = FeatureCatalogue(),
+    keep: Callable[[tuple[str, ...]], tuple[str, ...]] | None = None,
 ) -> Iterator[list[tuple[str, ...]]]:
     """Yield the attribute set of every position, one list per sentence.
 
     Families are emitted in a fixed order, the context composites first;
     every family has its own ``NAME=`` prefix, so each set is deterministic
     and duplicate-free.  The token-local families are built once per
-    distinct (surface, language) pair in the call, and each sentence's
-    words are escaped once.
+    distinct (surface, language) pair, in a memo that lives as long as the
+    generator, and each sentence's words are escaped once.  With ``keep``,
+    the memo holds ``keep`` of each pair's token-local families instead,
+    applied once per pair (``tag_corpus`` passes ``FeatureIndex.known``).
     """
     memo: dict[tuple[str, str], tuple[str, ...]] = {}
     for sentence in sentences:
@@ -334,7 +337,8 @@ def extract_corpus_attributes(
             key = (token.surface, token.lang)
             local = memo.get(key)
             if local is None:
-                local = memo[key] = _token_attributes(token, lexicon, catalogue)
+                local = _token_attributes(token, lexicon, catalogue)
+                local = memo[key] = keep(local) if keep else local
             attrs.append(_context(words, i) + local if catalogue.context else local)
         yield attrs
 

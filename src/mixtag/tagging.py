@@ -70,13 +70,18 @@ def tag_corpus(
     compiled from one pass of extraction, scored once, and decoded by one
     batched Viterbi, so the memory it takes is bounded by the chunk, not
     by the corpus.  One extraction spans the call, so each distinct
-    (surface, language) pair is still featurized once.  A token's scores
-    depend only on its own attributes and each sentence is decoded alone,
-    so the result equals ``tag_sentence`` on each sentence.
+    (surface, language) pair is still featurized once; its memo keeps only
+    the token-local attributes the model knows, in their order, as the
+    model's own strings, so it grows by a few pointers per distinct pair
+    and unknown attributes are dropped once per pair, not once per token.
+    Unknown attributes score 0, so dropping them leaves every token's
+    pairs as they are.  A token's scores depend only on its own attributes
+    and each sentence is decoded alone, so the result equals
+    ``tag_sentence`` on each sentence.
     """
     lexicon, catalogue = model.features(lexicon, catalogue)
     # streamed into compile, so no token's attribute strings outlive its row
-    attrs = extract_corpus_attributes(corpus, lexicon, catalogue)
+    attrs = extract_corpus_attributes(corpus, lexicon, catalogue, model.index.known)
     tagged: list[Sentence] = []
     for chunk in _chunks(corpus):
         batch = model.index.compile(islice(attrs, len(chunk)))

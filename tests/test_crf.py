@@ -115,6 +115,15 @@ class TestFeatureIndex:
             with pytest.raises(ValueError, match="^attributes not strictly sorted$"):
                 FeatureIndex(["A", "B"], attributes)
 
+    def test_known_keeps_the_indexed_attributes_as_its_own_strings(self):
+        idx = FeatureIndex(["A"], ["LEN=L_1", "VC=0", "W0=a"])
+        # built at run time, so not the index's string objects
+        asked = ["".join(["W0=", "a"]), "W0=b", "".join(["LEN=", "L_1"]), "VC=1"]
+        known = idx.known(asked)
+        assert known == ("W0=a", "LEN=L_1")
+        assert known[0] is idx.attributes[2] and known[1] is idx.attributes[0]
+        assert idx.known(["W0=b"]) == ()
+
     def test_owns_the_labels(self):
         idx = index_features([[aset("x")]], ["C", "A", "B"])
         assert idx.labels == ("C", "A", "B") and idx.n_labels == 3

@@ -495,6 +495,26 @@ class TestExtract:
             for s in sentences
         ]
 
+    def test_keep_is_applied_once_per_distinct_pair(self):
+        # "a1" under two language tags is two pairs; the context stays whole
+        sentences = [
+            make_sentence(("a1", "bn"), ("zz", "en"), ("a1", "en"), ("a1", "bn")),
+            make_sentence(("zz", "en")),
+        ]
+        kept = []
+
+        def keep(local):
+            kept.append(local)
+            return local[1:2]
+
+        got = list(extract_corpus_attributes(sentences, keep=keep))
+        assert len(kept) == 3
+        for sentence, attrs in zip(sentences, got):
+            for i, token in enumerate(sentence):
+                local = _token_attributes(token, EMPTY_LEXICON, FeatureCatalogue())
+                full = position_attributes(sentence, i)
+                assert attrs[i] == full[:-len(local)] + local[1:2]
+
 
 class TestEscaping:
     @given(st.text(max_size=20))

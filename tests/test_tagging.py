@@ -6,12 +6,18 @@ import pytest
 
 from mixtag.corpus import Corpus, Sentence
 from mixtag.crf import FeatureIndex, Model
-from mixtag.features import FeatureCatalogue, load_lexicon
+from mixtag import tagging
+from mixtag.features import (
+    FeatureCatalogue,
+    _token_attributes,
+    extract_corpus_attributes,
+    load_lexicon,
+)
 from mixtag.tagging import CHUNK_TOKENS, _chunks, tag_corpus, tag_sentence
 from mixtag.trainer import TrainConfig, train
 
 import datagen
-from conftest import make_sentence
+from conftest import make_sentence, position_attributes
 
 LEXICON = load_lexicon("a1\tu1\nu2\ta2\n")
 CATALOGUE = FeatureCatalogue().without("affixes", "vowel_count")
@@ -78,6 +84,33 @@ class TestTagCorpus:
     def test_empty_corpus(self):
         assert tag_corpus(trained_model(), Corpus(())) == Corpus(())
 
+    def test_extraction_keeps_the_models_own_known_local_attributes(self, monkeypatch):
+        # what tag_corpus compiles: each position's context composites, then
+        # the token-local attributes the model knows, in their order, each
+        # the very string object of model.index.attributes
+        model = trained_model()
+        corpus = mixed_corpus()
+        compiled = []
+
+        def recorded(*args):
+            for attrs in extract_corpus_attributes(*args):
+                compiled.append(attrs)
+                yield attrs
+
+        monkeypatch.setattr(tagging, "extract_corpus_attributes", recorded)
+        tag_corpus(model, corpus, LEXICON, CATALOGUE)
+        known = set(model.index.attributes)
+        own = {id(a) for a in model.index.attributes}
+        dropped = 0
+        for sentence, attrs in zip(corpus, compiled, strict=True):
+            for i, got in enumerate(attrs):
+                local = _token_attributes(sentence[i], LEXICON, CATALOGUE)
+                context = position_attributes(sentence, i, LEXICON, CATALOGUE)[:-len(local)]
+                assert got == context + tuple(a for a in local if a in known)
+                assert all(id(a) in own for a in got[len(context):])
+                dropped += len(local) - (len(got) - len(context))
+        assert dropped > 0
+
     def test_overflowing_scores_raise(self):
         # two finite weights whose sum overflows to inf
         index = FeatureIndex(["A", "B"], ["LEN=L_1", "VC=0"])
@@ -96,10 +129,10 @@ class TestTagCorpus:
             tag_corpus(model, Corpus((full_chunk, *corpus)))
 
 
-# tracemalloc's peak during tag_corpus on the corpus below is about 880
+# tracemalloc's peak during tag_corpus on the corpus below is about 845
 # bytes per token (measured with numpy 2.4 on CPython 3.11), most of it one
 # chunk's arrays; the bound leaves 30% headroom
-TAG_PEAK_BYTES_PER_TOKEN = 1150
+TAG_PEAK_BYTES_PER_TOKEN = 1100
 
 
 @pytest.fixture(scope="module")
